@@ -7,6 +7,7 @@
 package hsprofiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -65,7 +66,7 @@ func BenchmarkTable2SeedHarvest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		seeds, err := sess.CollectSeeds(0, sess.AllAccounts())
+		seeds, err := sess.CollectSeeds(context.Background(), 1, 0, sess.AllAccounts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func BenchmarkReverseLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := extend.Build(sess, sel); err != nil {
+		if _, err := extend.Build(context.Background(), sess, 1, sel); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -151,8 +151,8 @@ func main() {
 	archive := flag.String("archive", "", "write the crawl archive (profiles + friend lists) as JSON to this file")
 	resume := flag.String("resume", "", "resume from a crawl archive written by a previous (possibly interrupted) run")
 	failureBudget := flag.Int("failure-budget", 0, "how many per-item fetch failures to absorb before aborting (0 = fail fast)")
-	workers := flag.Int("workers", 1, "parallel fetch workers for the attack crawl and the Section 6 dossier crawl (1 = sequential; ranked output is identical at any setting)")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-request timeout; overrunning requests are abandoned and retried (0 = unbounded)")
+	workers := flag.Int("workers", 1, "fetch workers for the attack crawl and the Section 6 dossier crawl (1 = sequential); ranked output, request counts and dossiers are identical at any setting")
+	reqTimeout := flag.Duration("req-timeout", 0, "per-request timeout: an overrunning request is abandoned and retried, and an interrupted crawl waits at most this long for requests in flight (0 = unbounded)")
 	traceOut := flag.String("trace-out", "", "write the run's span tree to this file (\"-\" for stderr) and show live phase progress")
 	manifestOut := flag.String("manifest-out", "", "write a JSON run manifest (params, git describe, phase timings, effort counters) to this file")
 	eventsOut := flag.String("events-out", "", "write the structured event log (JSONL) to this file; also arms the flight recorder dumped to stderr on interrupt")
@@ -201,8 +201,10 @@ func main() {
 	sess := crawler.NewSession(cached).Instrument(out.reg).WithLog(out.lg)
 	sess.Timeout = *reqTimeout
 
-	// SIGINT cancels the crawl between requests; the archive below is
-	// written either way, so the next -resume run continues from here.
+	// SIGINT cancels the crawl between requests: requests already in flight
+	// finish (bounded by -req-timeout) and no new ones start. The archive
+	// below is written either way, so the next -resume run continues from
+	// here.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -290,23 +292,13 @@ func main() {
 	}
 
 	if *dossiers {
-		var d *extend.Dossier
-		// Dossier effort is reported either way: the parallel path tallies on
-		// the fetcher (attempts issued, merged into the same obs counters as
-		// the session when instrumented), the sequential path on the session.
-		var dossierEffort crawler.Effort
+		// The dossier crawl runs on the attack's session: same accounts,
+		// suspensions and retry budget, and its logical effort is the
+		// session's tally delta at any width.
 		dctx, span := obs.StartSpan(ctx, "build-dossiers")
-		if *workers > 1 {
-			fetcher := crawler.NewFetcher(cached, *workers).Instrument(out.reg).WithLog(out.lg)
-			fetcher.Timeout = *reqTimeout
-			d, err = extend.BuildParallel(dctx, fetcher, sel)
-			dossierEffort = fetcher.Effort()
-		} else {
-			before := sess.Effort
-			d, err = extend.Build(sess.WithContext(dctx), sel)
-			sess.WithContext(ctx)
-			dossierEffort = sess.Effort.Sub(before)
-		}
+		before := sess.Effort()
+		d, err := extend.Build(dctx, sess, *workers, sel)
+		dossierEffort := sess.Effort().Sub(before)
 		span.End()
 		if err != nil {
 			out.flush(true)

@@ -364,7 +364,7 @@ func countMap(m map[string]int) string {
 }
 
 // slowest lists the top-K events carrying a latency ("ms") field — the
-// fetcher's per-request completions and the server's access log — each with
+// crawl session's per-request completions and the server's access log — each with
 // the chain of other events sharing its span, the request's full story.
 func slowest(w io.Writer, events []event, topK int) {
 	type timed struct {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 			log.Fatalf("%s: %v", school.Name, err)
 		}
 		sel := res.Select(250, true)
-		dossier, err := extend.Build(sess, sel)
+		dossier, err := extend.Build(context.Background(), sess, 1, sel)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sel := res.Select(400, true)
-	dossier, err := extend.Build(sess, sel)
+	dossier, err := extend.Build(context.Background(), sess, 1, sel)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package coppaless
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -86,7 +87,8 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 	if p.MinCoreFriends <= 0 {
 		p.MinCoreFriends = 1
 	}
-	school, err := sess.LookupSchool(p.SchoolName)
+	ctx := context.TODO()
+	school, err := sess.LookupSchool(ctx, p.SchoolName)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +96,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 	if accounts == nil {
 		accounts = sess.AllAccounts()
 	}
-	seeds, err := sess.CollectSeeds(school.ID, accounts)
+	seeds, err := sess.CollectSeeds(ctx, 1, school.ID, accounts)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +104,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 	// Step 1: recent-graduate cores with public friend lists.
 	var cores []osn.PublicID
 	for _, s := range seeds {
-		pp, err := sess.FetchProfile(s.ID)
+		pp, err := sess.FetchProfile(ctx, s.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +129,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 		coreSet[id] = true
 	}
 	for _, id := range cores {
-		friends, err := sess.FetchFriends(id)
+		friends, err := sess.FetchFriends(ctx, id)
 		if errors.Is(err, osn.ErrHidden) {
 			continue
 		}
@@ -145,7 +147,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 	// Step 3: keep only minimal public profiles (the registered-minor
 	// signature in the truthful world).
 	for id, k := range counts {
-		pp, err := sess.FetchProfile(id)
+		pp, err := sess.FetchProfile(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +158,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 		// Step 4 threshold is applied by Guesses(n); store the count.
 		r.H[id] = k
 	}
-	r.Effort = sess.Effort
+	r.Effort = sess.Effort()
 	return r, nil
 }
 

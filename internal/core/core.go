@@ -7,7 +7,9 @@
 //
 // The attack touches the platform only through crawler.Session — the same
 // stranger-visible surface the original study had — and never reads ground
-// truth; evaluation lives in internal/eval.
+// truth; evaluation lives in internal/eval. Every fetch stage runs over the
+// session's worker pool, Params.Workers wide: one worker is the sequential
+// crawl, and the result is the same at any width.
 package core
 
 import (
@@ -108,12 +110,12 @@ type Params struct {
 	// excluded, the candidate stays unprofiled — and is counted in
 	// Result.FailedFetches. 0 preserves the strict fail-fast behavior.
 	// Context cancellation is never absorbed. The budget is shared across
-	// all workers of a parallel run.
+	// all workers.
 	FailureBudget int
-	// Workers sets the crawl concurrency: 1 (the default) runs the
-	// original sequential pipeline over the Session; >1 runs the fetch
-	// stages batch-parallel over a crawler.Fetcher derived from it. The
-	// ranked output is bit-identical either way, so this is purely a
+	// Workers is the width of the session's worker pool that every fetch
+	// stage runs over (default 1, the sequential crawl). The same logical
+	// requests are made at any width, so the ranked output and the
+	// Effort/Retries/Failures tallies are bit-identical: this is purely a
 	// throughput knob for the latency-bound live-platform regime.
 	Workers int
 	// DisableFetchCache opts out of the in-memory memoizing fetch cache
@@ -122,10 +124,6 @@ type Params struct {
 	// request); disabling it only forces every request through to the
 	// platform.
 	DisableFetchCache bool
-	// TuneFetcher, when set, is called with the derived fetcher of a
-	// parallel run before the crawl starts — the hook chaos tests use to
-	// neutralize backoff sleeps. Ignored when Workers <= 1.
-	TuneFetcher func(*crawler.Fetcher)
 }
 
 func (p Params) withDefaults() Params {

@@ -5,47 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hsprofiler/internal/crawler"
 	"hsprofiler/internal/osn"
 )
 
-// engine drives the crawl stages of one run: sequentially through the
-// Session when Params.Workers is 1, or batch-parallel through a
-// crawler.Fetcher derived from it. Both paths produce bit-identical
-// results — the parallel stages keep per-item state index-aligned or in
-// per-worker shards whose merge is order-independent, and the final
-// ranking uses the same canonical sort — so the worker count is purely a
+// engine drives the crawl stages of one run over the session's worker
+// pool, Params.Workers wide; one worker is the sequential crawl. Results
+// are bit-identical at any width — per-item state is index-aligned or kept
+// in per-worker shards whose merge is order-independent, and the final
+// ranking uses one canonical sort — so the worker count is purely a
 // throughput knob.
 //
 // The failure budget is shared across stages and workers and accounted
 // atomically: with the deterministic fault injector, the set of requests
 // that fail for good is schedule-independent, so the absorbed-failure
-// count matches the sequential run exactly.
+// count does not depend on the width either.
 type engine struct {
-	sess *crawler.Session
-	f    *crawler.Fetcher // nil = sequential
-	r    *Result
+	sess    *crawler.Session
+	workers int
+	r       *Result
 
 	budget   atomic.Int64
 	absorbed atomic.Int64
 }
 
 func newEngine(sess *crawler.Session, r *Result) *engine {
-	e := &engine{sess: sess, r: r}
+	e := &engine{sess: sess, workers: r.Params.Workers, r: r}
 	e.budget.Store(int64(r.Params.FailureBudget))
-	if w := r.Params.Workers; w > 1 {
-		e.f = sess.Fetcher(nil, w)
-		if tune := r.Params.TuneFetcher; tune != nil {
-			tune(e.f)
-		}
-	}
 	return e
 }
-
-func (e *engine) parallel() bool { return e.f != nil }
 
 // absorb reports whether a per-item fetch failure can be absorbed under the
 // failure budget, consuming one unit when so. Context cancellation is never
@@ -67,60 +57,23 @@ func (e *engine) absorb(err error) bool {
 }
 
 // finish copies the engine's accounting into the result: the absorbed-
-// failure count and the request tallies. A parallel run sums the session's
-// tallies (the school lookup still goes through it) with the fetcher's
-// logical tally, which keeps Session's Table 3 semantics — one count per
-// page or profile, retries separate — so the totals match the sequential
-// run field for field.
+// failure count and the session's request tallies.
 func (e *engine) finish() {
 	e.r.FailedFetches = int(e.absorbed.Load())
-	e.r.Effort = e.sess.Effort
-	e.r.Retries = e.sess.Retries
-	e.r.Failures = e.sess.Failures
-	if e.parallel() {
-		e.r.Effort = addEffort(e.r.Effort, e.f.Logical())
-		e.r.Retries = addEffort(e.r.Retries, e.f.Retries())
-		e.r.Failures = addEffort(e.r.Failures, e.f.Failures())
-	}
-}
-
-func addEffort(a, b crawler.Effort) crawler.Effort {
-	a.SeedRequests += b.SeedRequests
-	a.ProfileRequests += b.ProfileRequests
-	a.FriendListRequests += b.FriendListRequests
-	return a
-}
-
-// collectSeeds runs step 1 over the given accounts.
-func (e *engine) collectSeeds(ctx context.Context, schoolID int, accounts []int) ([]osn.SearchResult, error) {
-	if e.parallel() {
-		return e.f.CollectSeeds(ctx, schoolID, accounts)
-	}
-	return e.sess.CollectSeeds(schoolID, accounts)
+	e.r.Effort = e.sess.Effort()
+	e.r.Retries = e.sess.Retries()
+	e.r.Failures = e.sess.Failures()
 }
 
 // seedProfiles fetches every seed's public profile, index-aligned with
 // seeds. A nil slot is a fetch failure absorbed under the budget.
 func (e *engine) seedProfiles(ctx context.Context, seeds []osn.SearchResult) ([]*osn.PublicProfile, error) {
 	out := make([]*osn.PublicProfile, len(seeds))
-	if !e.parallel() {
-		for i := range seeds {
-			pp, err := e.sess.FetchProfile(seeds[i].ID)
-			if err != nil {
-				if e.absorb(err) {
-					continue // skip this seed
-				}
-				return nil, fmt.Errorf("core: seed profile %s: %w", seeds[i].ID, err)
-			}
-			out[i] = pp
-		}
-		return out, nil
-	}
-	err := e.f.ForEach(ctx, len(seeds), func(ctx context.Context, i int) error {
-		pp, err := e.f.FetchProfile(ctx, seeds[i].ID)
+	err := e.sess.ForEach(ctx, e.workers, len(seeds), func(ctx context.Context, i int) error {
+		pp, err := e.sess.FetchProfile(ctx, seeds[i].ID)
 		if err != nil {
 			if e.absorb(err) {
-				return nil
+				return nil // skip this seed
 			}
 			return fmt.Errorf("core: seed profile %s: %w", seeds[i].ID, err)
 		}
@@ -202,65 +155,43 @@ func (e *engine) harvestAndScore(ctx context.Context, core []CoreUser) error {
 		}
 	}
 
-	var total *harvestShard
-	if !e.parallel() {
-		total = &harvestShard{cands: make(map[osn.PublicID]*agg)}
-		for i := range core {
-			cu := &core[i]
-			if cu.Friends == nil {
-				friends, err := e.sess.FetchFriends(cu.ID)
-				if errors.Is(err, osn.ErrHidden) {
-					// Race between profile flag and list visibility cannot
-					// happen on the simulator, but a live platform could flip
-					// settings mid-crawl; drop the core user.
-					continue
-				}
-				if err != nil {
-					if e.absorb(err) {
-						continue // exclude this core user from scoring
-					}
-					return fmt.Errorf("core: friend list of %s: %w", cu.ID, err)
-				}
-				cu.Friends = friends
+	// Per-worker shard pool: each item grabs a free shard, folds its core
+	// user in locally, and returns it — no shared accumulator contention
+	// while the fetches overlap. r.CorePrime is read-only during the harvest
+	// (promotions happen between passes).
+	shards := make(chan *harvestShard, e.workers)
+	for i := 0; i < e.workers; i++ {
+		shards <- &harvestShard{cands: make(map[osn.PublicID]*agg)}
+	}
+	err := e.sess.ForEach(ctx, e.workers, len(core), func(ctx context.Context, i int) error {
+		cu := &core[i]
+		if cu.Friends == nil {
+			friends, err := e.sess.FetchFriends(ctx, cu.ID)
+			if errors.Is(err, osn.ErrHidden) {
+				// Race between profile flag and list visibility cannot
+				// happen on the simulator, but a live platform could flip
+				// settings mid-crawl; drop the core user.
+				return nil
 			}
-			total.aggregate(i, cu, r.CorePrime)
-		}
-	} else {
-		// Per-worker shard pool: each item grabs a free shard, folds its
-		// core user in locally, and returns it — no shared accumulator
-		// contention while the fetches overlap. r.CorePrime is read-only
-		// during the harvest (promotions happen between passes).
-		shards := make(chan *harvestShard, e.f.Workers())
-		for i := 0; i < e.f.Workers(); i++ {
-			shards <- &harvestShard{cands: make(map[osn.PublicID]*agg)}
-		}
-		err := e.f.ForEach(ctx, len(core), func(ctx context.Context, i int) error {
-			cu := &core[i]
-			if cu.Friends == nil {
-				friends, err := e.f.FetchFriends(ctx, cu.ID)
-				if errors.Is(err, osn.ErrHidden) {
-					return nil
+			if err != nil {
+				if e.absorb(err) {
+					return nil // exclude this core user from scoring
 				}
-				if err != nil {
-					if e.absorb(err) {
-						return nil
-					}
-					return fmt.Errorf("core: friend list of %s: %w", cu.ID, err)
-				}
-				cu.Friends = friends
+				return fmt.Errorf("core: friend list of %s: %w", cu.ID, err)
 			}
-			s := <-shards
-			s.aggregate(i, cu, r.CorePrime)
-			shards <- s
-			return nil
-		})
-		if err != nil {
-			return err
+			cu.Friends = friends
 		}
-		total = <-shards
-		for i := 1; i < e.f.Workers(); i++ {
-			total.merge(<-shards)
-		}
+		s := <-shards
+		s.aggregate(i, cu, r.CorePrime)
+		shards <- s
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	total := <-shards
+	for i := 1; i < e.workers; i++ {
+		total.merge(<-shards)
 	}
 
 	prevProfiles := make(map[osn.PublicID]*osn.PublicProfile)
@@ -302,76 +233,49 @@ func (e *engine) harvestAndScore(ctx context.Context, core []CoreUser) error {
 // recorded in CorePrime, and returned as new core users (with friend lists
 // left for harvestAndScore to fetch).
 //
-// In parallel mode the missing in-window profiles are prefetched through
-// the pool first; the window walk itself — promotion, filtering, ranking
-// surgery — is sequential in rank order either way, so its outcome is
-// identical.
+// The missing in-window profiles are fetched over the pool first; the
+// window walk itself — promotion, filtering, ranking surgery — is
+// sequential in rank order, so its outcome does not depend on the width.
 func (e *engine) fetchWindowProfiles(ctx context.Context, window int, promote bool) ([]CoreUser, error) {
 	r := e.r
-	var prefetched map[osn.PublicID]*osn.PublicProfile
-	if e.parallel() {
-		// The walk consumes one window slot per ranked entry, so the
-		// entries needing a fetch are exactly the unprofiled ones among the
-		// first `window` of the ranking.
-		inWindow := len(r.Ranked)
-		if window < inWindow {
-			inWindow = window
+	inWindow := min(window, len(r.Ranked))
+	var missing []int
+	for i := 0; i < inWindow; i++ {
+		if r.Ranked[i].Profile == nil {
+			missing = append(missing, i)
 		}
-		var ids []osn.PublicID
-		for i := 0; i < inWindow; i++ {
-			if r.Ranked[i].Profile == nil {
-				ids = append(ids, r.Ranked[i].ID)
-			}
-		}
-		prefetched = make(map[osn.PublicID]*osn.PublicProfile, len(ids))
-		var mu sync.Mutex
-		err := e.f.ForEach(ctx, len(ids), func(ctx context.Context, i int) error {
-			pp, err := e.f.FetchProfile(ctx, ids[i])
-			if err != nil {
-				if e.absorb(err) {
-					return nil // entry stays missing: kept ranked, unprofiled
-				}
-				return fmt.Errorf("core: candidate profile %s: %w", ids[i], err)
-			}
-			mu.Lock()
-			prefetched[ids[i]] = pp
-			mu.Unlock()
-			return nil
-		})
+	}
+	fetched := make([]*osn.PublicProfile, inWindow)
+	err := e.sess.ForEach(ctx, e.workers, len(missing), func(ctx context.Context, k int) error {
+		id := r.Ranked[missing[k]].ID
+		pp, err := e.sess.FetchProfile(ctx, id)
 		if err != nil {
-			return nil, err
+			if e.absorb(err) {
+				return nil // entry stays missing: kept ranked, unprofiled
+			}
+			return fmt.Errorf("core: candidate profile %s: %w", id, err)
 		}
+		fetched[missing[k]] = pp
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var promotedUsers []CoreUser
 	kept := r.Ranked[:0]
-	seen := 0
 	for i := range r.Ranked {
 		c := r.Ranked[i]
-		if seen < window {
-			seen++
+		if i < inWindow {
 			if c.Profile == nil {
-				pp, ok := prefetched[c.ID]
-				if !ok && !e.parallel() {
-					var err error
-					pp, err = e.sess.FetchProfile(c.ID)
-					if err != nil {
-						if e.absorb(err) {
-							pp = nil
-						} else {
-							return nil, fmt.Errorf("core: candidate profile %s: %w", c.ID, err)
-						}
-					}
-					ok = pp != nil
-				}
-				if !ok {
+				if fetched[i] == nil {
 					// Keep the candidate ranked but unprofiled: it can
 					// still be selected, just never filtered or promoted.
 					kept = append(kept, c)
 					continue
 				}
-				c.Profile = pp
-				c.FilterReason = filterReason(pp, r.School, r.Params.CurrentYear)
+				c.Profile = fetched[i]
+				c.FilterReason = filterReason(c.Profile, r.School, r.Params.CurrentYear)
 				c.Filtered = c.FilterReason != ""
 			}
 			if promote && IndicatesCurrentStudent(c.Profile, r.School.Name, r.Params.CurrentYear) {

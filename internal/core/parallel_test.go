@@ -1,13 +1,14 @@
 package core_test
 
-// Equality tests for the parallel attack pipeline: whatever the worker
+// Width-invariance tests for the attack pipeline: whatever the worker
 // count, with or without injected faults, with or without the fetch cache,
-// a run must reproduce the sequential result bit for bit — ranking, core
+// a run must reproduce the one-worker result bit for bit — ranking, core
 // sets, Table 3 effort, retry and failure tallies, absorbed-failure
 // accounting, and every Select slice. (External test package: the chaos
 // variants pull in internal/faults, which the in-package tests cannot.)
 
 import (
+	"fmt"
 	"hash/fnv"
 	"reflect"
 	"sync"
@@ -23,13 +24,10 @@ import (
 	"hsprofiler/internal/worldgen"
 )
 
-// instantFetcher neutralizes backoff sleeps in a derived fetcher, so the
-// fault tests run at full speed; determinism must never depend on timing.
-func instantFetcher(f *crawler.Fetcher) { f.Sleep = func(time.Duration) {} }
-
 // parallelRig builds a fresh session over a fresh platform for one run.
 // Each run gets its own platform and accounts so no state leaks between
-// the runs being compared.
+// the runs being compared. Backoff never sleeps, so the fault tests run at
+// full speed; determinism must never depend on timing.
 func parallelRig(t testing.TB, world *worldgen.World, wrap func(crawler.Client) crawler.Client) *crawler.Session {
 	t.Helper()
 	p := osn.NewPlatform(world, osn.Facebook(), osn.Config{})
@@ -42,7 +40,7 @@ func parallelRig(t testing.TB, world *worldgen.World, wrap func(crawler.Client) 
 		c = wrap(c)
 	}
 	sess := crawler.NewSession(c)
-	sess.Backoff = func(int) {}
+	sess.Sleep = func(time.Duration) {}
 	return sess
 }
 
@@ -95,42 +93,46 @@ func assertRunsEqual(t *testing.T, label string, ref, got *core.Result) {
 	}
 }
 
-// TestParallelMatchesSequential: Workers ∈ {1, 4, 8} over both modes must
-// yield bit-identical results — the acceptance criterion for the engine.
+// TestParallelMatchesSequential: Workers ∈ {1, 4, 8} over both modes and
+// several tiny worlds must yield bit-identical results — the acceptance
+// criterion for the engine.
 func TestParallelMatchesSequential(t *testing.T) {
-	world, err := worldgen.Generate(worldgen.TinyConfig(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []core.Mode{core.Basic, core.Enhanced} {
-		var ref *core.Result
-		for _, workers := range []int{1, 4, 8} {
-			sess := parallelRig(t, world, nil)
-			res, err := core.Run(sess, core.Params{
-				SchoolName:   world.Schools[0].Name,
-				CurrentYear:  2012,
-				Mode:         mode,
-				MaxThreshold: 80,
-				Workers:      workers,
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode, workers, err)
+	for _, seed := range []uint64{11, 3, 5, 23} {
+		world, err := worldgen.Generate(worldgen.TinyConfig(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.Mode{core.Basic, core.Enhanced} {
+			var ref *core.Result
+			for _, workers := range []int{1, 4, 8} {
+				sess := parallelRig(t, world, nil)
+				res, err := core.Run(sess, core.Params{
+					SchoolName:   world.Schools[0].Name,
+					CurrentYear:  2012,
+					Mode:         mode,
+					MaxThreshold: 80,
+					Workers:      workers,
+				})
+				if err != nil {
+					t.Fatalf("seed %d %s workers=%d: %v", seed, mode, workers, err)
+				}
+				if workers == 1 {
+					ref = res
+					continue
+				}
+				assertRunsEqual(t, fmt.Sprintf("seed %d %s/workers=%d", seed, mode, workers), ref, res)
 			}
-			if workers == 1 {
-				ref = res
-				continue
-			}
-			assertRunsEqual(t, mode.String()+"/workers="+string(rune('0'+workers)), ref, res)
 		}
 	}
 }
 
 // TestParallelChaosMatchesSequentialClean: an 8-worker run against a 10%
-// composite fault rate must reproduce the clean sequential result exactly.
+// composite fault rate must reproduce the clean one-worker result exactly.
 // The injector's per-key fault schedules are deterministic and its
 // MaxConsecutive cap keeps every fault below the retry budget, so even the
-// retry tallies must match the sequential faulted run, and no failure
-// budget is ever consumed.
+// retry tallies must match the one-worker faulted run, and no failure
+// budget is ever consumed. Every run's crawl_requests_total must equal its
+// Table 3 Effort, category by category.
 func TestParallelChaosMatchesSequentialClean(t *testing.T) {
 	world, err := worldgen.Generate(worldgen.TinyConfig(), 11)
 	if err != nil {
@@ -144,7 +146,8 @@ func TestParallelChaosMatchesSequentialClean(t *testing.T) {
 				return faults.New(faults.Composite(rate, 7)).Client(c)
 			}
 		}
-		sess := parallelRig(t, world, wrap)
+		reg := obs.NewRegistry()
+		sess := parallelRig(t, world, wrap).Instrument(reg)
 		res, err := core.Run(sess, core.Params{
 			SchoolName:    world.Schools[0].Name,
 			CurrentYear:   2012,
@@ -152,10 +155,20 @@ func TestParallelChaosMatchesSequentialClean(t *testing.T) {
 			MaxThreshold:  80,
 			Workers:       workers,
 			FailureBudget: 100,
-			TuneFetcher:   instantFetcher,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d faulted=%v: %v", workers, faulted, err)
+		}
+		counters := reg.Counters()
+		for cat, want := range map[string]int{
+			"seed":       res.Effort.SeedRequests,
+			"profile":    res.Effort.ProfileRequests,
+			"friendlist": res.Effort.FriendListRequests,
+		} {
+			key := `crawl_requests_total{category="` + cat + `"}`
+			if got := counters[key]; got != float64(want) {
+				t.Errorf("workers=%d faulted=%v: %s = %v, Table 3 effort counts %d", workers, faulted, key, got, want)
+			}
 		}
 		return res
 	}
@@ -164,19 +177,19 @@ func TestParallelChaosMatchesSequentialClean(t *testing.T) {
 	parFaulted := run(8, true)
 
 	if seqFaulted.Retries.Total() == 0 {
-		t.Fatal("sequential faulted run reports no retries; injector inert?")
+		t.Fatal("one-worker faulted run reports no retries; injector inert?")
 	}
 	if seqFaulted.FailedFetches != 0 || parFaulted.FailedFetches != 0 {
-		t.Fatalf("failure budget consumed (%d seq, %d par); every fault should be survivable",
+		t.Fatalf("failure budget consumed (%d at 1 worker, %d at 8); every fault should be survivable",
 			seqFaulted.FailedFetches, parFaulted.FailedFetches)
 	}
 	// The faulted runs agree with each other on everything, including the
 	// retry tallies (per-key fault schedules are schedule-independent).
-	assertRunsEqual(t, "parallel-faulted vs sequential-faulted", seqFaulted, parFaulted)
+	assertRunsEqual(t, "8-worker faulted vs 1-worker faulted", seqFaulted, parFaulted)
 	// And with the clean run on everything the attack reports; only the
 	// retry tally records that the faults happened.
 	parFaulted.Retries, parFaulted.Failures = clean.Retries, clean.Failures
-	assertRunsEqual(t, "parallel-faulted vs clean", clean, parFaulted)
+	assertRunsEqual(t, "8-worker faulted vs clean", clean, parFaulted)
 }
 
 // brokenClient permanently fails a deterministic subset of profile fetches
@@ -196,8 +209,8 @@ func (b *brokenClient) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, e
 }
 
 // TestParallelFailureBudgetDeterministic: with a client that hard-fails a
-// fixed subset of profiles, sequential and parallel runs must absorb the
-// same number of failures and produce the same degraded result.
+// fixed subset of profiles, runs at 1 and 8 workers must absorb the same
+// number of failures and produce the same degraded result.
 func TestParallelFailureBudgetDeterministic(t *testing.T) {
 	world, err := worldgen.Generate(worldgen.TinyConfig(), 11)
 	if err != nil {

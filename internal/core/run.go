@@ -14,7 +14,7 @@ import (
 // Run executes the profiling methodology against the session's platform.
 // The six steps of §4.1 map onto the code as:
 //
-//  1. seed collection           → engine.collectSeeds
+//  1. seed collection           → Session.CollectSeeds
 //  2. core extraction           → profile fetch + IndicatesCurrentStudent
 //  3. candidate harvesting      → friend-list fetch over the core
 //  4. reverse lookup G_i(u)     → hit counting while harvesting
@@ -30,18 +30,18 @@ func Run(sess *crawler.Session, p Params) (*Result, error) {
 }
 
 // RunContext is Run under a caller context. Cancelling it stops the crawl
-// between requests; the returned error then wraps the context's error.
+// between requests (calls already in flight finish, bounded by the
+// session's Timeout); the returned error then wraps the context's error.
 // Per-item fetch failures (after the crawl layer's own retries) are
 // absorbed up to Params.FailureBudget, so a run against a flaky platform
 // degrades item by item instead of dying whole.
 //
-// With Params.Workers > 1 the fetch stages run batch-parallel over a
-// crawler.Fetcher derived from the session; the ranked output is
-// bit-identical to the sequential run (see engine). Unless
-// Params.DisableFetchCache is set, the run also interposes an in-memory
-// fetch cache under the effort tally, so re-passes of the enhanced
-// methodology stop re-downloading profiles and friend lists they already
-// have — without changing the Table 3 request counts.
+// The fetch stages run over the session's worker pool, Params.Workers
+// wide; the ranked output and every tally are bit-identical at any width
+// (see engine). Unless Params.DisableFetchCache is set, the run also
+// interposes an in-memory fetch cache under the effort tally, so re-passes
+// of the enhanced methodology stop re-downloading profiles and friend
+// lists they already have — without changing the Table 3 request counts.
 //
 // When ctx carries an obs trace (obs.NewTrace + Trace.Context), every
 // methodology step runs under its own span — lookup-school,
@@ -72,21 +72,14 @@ func RunContext(ctx context.Context, sess *crawler.Session, p Params) (*Result, 
 			defer sess.SwapClient(orig)
 		}
 	}
-	sess.WithContext(ctx)
-	// step opens a span for one methodology step and points the session at
-	// its context, so crawl events inside the step carry the step's span id.
-	// Parallel stages take the step context directly. The returned func
-	// closes the span and restores the run context.
+	// step opens a span for one methodology step; crawl requests made under
+	// the returned context nest under it, and their events carry its id.
 	step := func(name string) (context.Context, func()) {
 		stepCtx, span := obs.StartSpan(ctx, name)
-		sess.WithContext(stepCtx)
-		return stepCtx, func() {
-			span.End()
-			sess.WithContext(ctx)
-		}
+		return stepCtx, span.End
 	}
-	_, end := step("lookup-school")
-	school, err := sess.LookupSchool(p.SchoolName)
+	stepCtx, end := step("lookup-school")
+	school, err := sess.LookupSchool(stepCtx, p.SchoolName)
 	end()
 	if err != nil {
 		return nil, fmt.Errorf("core: looking up target school: %w", err)
@@ -106,8 +99,8 @@ func RunContext(ctx context.Context, sess *crawler.Session, p Params) (*Result, 
 	if accounts == nil {
 		accounts = sess.AllAccounts()
 	}
-	stepCtx, end := step("collect-seeds")
-	r.Seeds, err = eng.collectSeeds(stepCtx, school.ID, accounts)
+	stepCtx, end = step("collect-seeds")
+	r.Seeds, err = sess.CollectSeeds(stepCtx, p.Workers, school.ID, accounts)
 	end()
 	if err != nil {
 		return nil, err

@@ -28,7 +28,7 @@ func TestAttackSurvivesAdaptiveThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := crawler.NewSession(d)
-	sess.Backoff = func(int) { clock = clock.Add(30 * time.Second) }
+	sess.Sleep = func(time.Duration) { clock = clock.Add(30 * time.Second) }
 	res, err := Run(sess, Params{
 		SchoolName:   w.Schools[0].Name,
 		CurrentYear:  2012,

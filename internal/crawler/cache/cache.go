@@ -6,11 +6,11 @@
 // re-paying for pages already crawled.
 //
 // The accounting rule that keeps Table 3 honest: the cache sits BELOW the
-// effort tallies. Session.Effort and Fetcher.Logical count a logical
-// request before the client is consulted, so a cache hit still counts as a
-// request the paper's way — what the cache saves is platform load and wall
-// time, never measured effort. The Bypass switch turns memoization off
-// entirely for callers that want every request to hit the platform.
+// effort tallies. The crawler.Session counts a logical request before the
+// client is consulted, so a cache hit still counts as a request the
+// paper's way — what the cache saves is platform load and wall time, never
+// measured effort. The Bypass switch turns memoization off entirely for
+// callers that want every request to hit the platform.
 //
 // Unlike store.CachedClient, which persists an archive for -resume and
 // offline re-analysis, this cache is a run-scoped in-memory accelerator:

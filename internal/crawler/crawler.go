@@ -1,13 +1,14 @@
 // Package crawler provides the third party's data-collection machinery:
 // a platform-access interface implemented both in-process and over HTTP,
-// fake-account rotation, suspension handling, and the request-effort
-// accounting behind the paper's Table 3.
+// fake-account rotation, suspension handling, a bounded worker pool, and
+// the request-effort accounting behind the paper's Table 3.
 package crawler
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"hsprofiler/internal/obs"
@@ -96,78 +97,66 @@ func (e Effort) Sub(o Effort) Effort {
 	}
 }
 
-// Session layers effort accounting and account rotation over a Client. It
-// is the object the attack methodology drives. Not safe for concurrent use.
+// FetchCaching marks clients that already memoize profile and friend-list
+// fetches (the crawler/cache package's Cache, store.CachedClient), so
+// layers that would otherwise add a run-local cache — core.RunContext —
+// know not to stack a second one.
+type FetchCaching interface {
+	CachesFetches()
+}
+
+// Session is the attack's one crawl stack: it layers account rotation,
+// suspension handling, retries, per-request timeouts and the Table 3
+// effort accounting over a Client, and runs batches over a worker pool
+// (ForEach). A one-worker pool is the sequential crawl; wider pools make
+// the same logical requests, so every tally is width-invariant. Safe for
+// concurrent use; set Timeout and Sleep before the first request.
 type Session struct {
-	client Client
-	// Effort is the running request tally. It counts logical requests
-	// (the paper's Table 3 semantics); extra attempts spent riding out
-	// throttles and transient failures are tallied in Retries instead.
-	Effort Effort
-	// Retries counts extra attempts after throttled or transient
-	// failures, by request category.
-	Retries Effort
-	// Failures counts requests that failed for good: transient errors
-	// that exhausted the retry budget, or unexpected permanent errors
-	// (suspensions and hidden lists are expected outcomes, not failures).
-	Failures Effort
-	// Backoff is called before retrying a throttled request, with the
-	// 0-based attempt number. The default sleeps exponentially from 5 ms.
-	// Replace it in tests for instant retries.
-	Backoff func(attempt int)
-	// MaxRetries bounds throttle/transient retries per request (default 12).
-	MaxRetries int
 	// Timeout bounds each client call (0 = unbounded). A call that
 	// overruns is abandoned on its goroutine and retried like any other
-	// transient failure; the abandoned call's result is discarded.
+	// transient failure; the abandoned call's result is discarded. It is
+	// the only thing that abandons a call in flight: a cancelled context
+	// stops the crawl before its next attempt.
 	Timeout time.Duration
+	// Sleep performs the backoff pause between retries; nil means
+	// time.Sleep. Tests replace it to skip waits or advance a fake clock.
+	Sleep func(time.Duration)
 
-	ctx       context.Context
-	rot       int
+	client Client
+	m      *crawlMetrics
+	lg     *evlog.Logger
+
+	mu        sync.Mutex
+	next      int // account cursor
 	suspended map[int]bool
-	m         *crawlMetrics
-	lg        *evlog.Logger
+	effort    Effort
+	retries   Effort
+	failures  Effort
 }
 
 // NewSession wraps a client.
 func NewSession(c Client) *Session {
-	return &Session{
-		client:     c,
-		Backoff:    DefaultBackoff,
-		MaxRetries: 12,
-		ctx:        context.Background(),
-		suspended:  make(map[int]bool),
-	}
+	return &Session{client: c, suspended: make(map[int]bool)}
 }
 
 // Instrument publishes the session's effort accounting to the registry:
 // crawl_requests_total, crawl_retries_total, crawl_failures_total,
-// crawl_request_seconds and crawl_backoff_seconds_total. The obs counters
-// are incremented at the same points as the Effort tallies, so they match
-// the Table 3 accounting exactly. A nil registry leaves the session
-// uninstrumented (no-op). Returns the session for chaining.
+// crawl_request_seconds, crawl_backoff_seconds_total and
+// crawl_queue_depth. crawl_requests_total is incremented at the same point
+// as the Effort tally, so it matches the Table 3 accounting exactly. A nil
+// registry leaves the session uninstrumented (no-op). Returns the session
+// for chaining.
 func (s *Session) Instrument(reg *obs.Registry) *Session {
 	s.m = newCrawlMetrics(reg)
 	return s
 }
 
-// WithContext sets the context consulted between attempts: once it is
-// cancelled, the session's fetch methods return its error instead of
-// issuing further requests. Events the session logs carry this context's
-// trace span, so per-step contexts correlate crawl events to their
-// methodology phase. It returns the session for chaining.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.ctx = ctx
-	return s
-}
-
-// WithLog attaches an event logger: each logical request emits a "crawl"
-// debug event, each retry a warn event with its error class and attempt
-// number, and each terminal failure an error event. A nil logger keeps the
-// session silent. Returns the session for chaining.
+// WithLog attaches an event logger: each completed logical request emits a
+// "crawl" info event carrying its key, attempt count and latency (the event
+// stream runreport mines for the slowest requests), with warn/error events
+// for retries, suspensions and failures. Events carry the per-request span
+// when the context holds a trace. A nil logger keeps the session silent.
+// Returns the session for chaining.
 func (s *Session) WithLog(lg *evlog.Logger) *Session {
 	s.lg = lg
 	return s
@@ -178,108 +167,6 @@ func (s *Session) WithLog(lg *evlog.Logger) *Session {
 // log into the same stream.
 func (s *Session) Log() *evlog.Logger { return s.lg }
 
-// DefaultBackoff sleeps 5ms·2^attempt, capped at 500ms — the polite-crawler
-// reaction to the platform's adaptive throttle.
-func DefaultBackoff(attempt int) {
-	d := 5 * time.Millisecond << uint(attempt)
-	if d > 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
-	time.Sleep(d)
-}
-
-// countRequest tallies one logical request in both the Effort struct and
-// the obs counters — a single increment point so they cannot diverge.
-func (s *Session) countRequest(c category) {
-	*c.bucket(&s.Effort)++
-	s.m.request(c)
-	s.lg.Debug(s.ctx, "crawl", "request", evlog.Str("category", c.String()))
-}
-
-// doValue runs one client call under the session's per-call Timeout. Each
-// call's result is attempt-local and delivered over the channel, so an
-// abandoned (timed-out) call that completes later discards its outcome
-// into an orphaned buffer instead of racing the retry attempt.
-func doValue[T any](s *Session, fn func() (T, error)) (T, error) {
-	if s.Timeout <= 0 {
-		return fn()
-	}
-	type outcome struct {
-		v   T
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		v, err := fn()
-		done <- outcome{v: v, err: err}
-	}()
-	timer := time.NewTimer(s.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.v, o.err
-	case <-timer.C:
-		var zero T
-		return zero, fmt.Errorf("%w after %v", ErrTimeout, s.Timeout)
-	}
-}
-
-// retryValue runs fn, backing off and retrying while it reports a
-// transient error (throttling, 5xx, resets, malformed pages, timeouts), up
-// to MaxRetries attempts, and returns the value of the attempt that
-// actually concluded. Retries and terminal failures are tallied into the
-// category (struct fields and obs counters alike); the session's context
-// is consulted before every attempt so a cancelled crawl stops mid-list
-// rather than at the next phase boundary.
-func retryValue[T any](s *Session, c category, fn func() (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		if err := s.ctx.Err(); err != nil {
-			return zero, err
-		}
-		var v T
-		err := s.m.timed(func() error {
-			var err error
-			v, err = doValue(s, fn)
-			return err
-		})
-		if err == nil {
-			return v, nil
-		}
-		if !IsTransient(err) {
-			if !errors.Is(err, osn.ErrSuspended) && !errors.Is(err, osn.ErrHidden) &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				*c.bucket(&s.Failures)++
-				s.m.failure(c)
-				s.lg.Error(s.ctx, "crawl", "permanent failure",
-					evlog.Str("category", c.String()), evlog.Err("err", err))
-			}
-			return zero, err
-		}
-		if attempt >= s.MaxRetries {
-			*c.bucket(&s.Failures)++
-			s.m.failure(c)
-			s.lg.Error(s.ctx, "crawl", "retries exhausted",
-				evlog.Str("category", c.String()), evlog.Int("attempts", attempt+1),
-				evlog.Str("class", ErrorClass(err)), evlog.Err("err", err))
-			return zero, err
-		}
-		*c.bucket(&s.Retries)++
-		s.m.retry(c, err)
-		s.lg.Warn(s.ctx, "crawl", "retry",
-			evlog.Str("category", c.String()), evlog.Str("class", ErrorClass(err)),
-			evlog.Int("attempt", attempt+1), evlog.Err("err", err))
-		s.m.timedSleep(func() { s.Backoff(attempt) })
-	}
-}
-
-// page carries one paginated client response through retryValue, keeping
-// the results and the has-more flag attempt-local as a unit.
-type page[T any] struct {
-	items []T
-	more  bool
-}
-
 // Client returns the underlying client.
 func (s *Session) Client() Client { return s.client }
 
@@ -287,7 +174,7 @@ func (s *Session) Client() Client { return s.client }
 // callers can layer a decorator — a memoizing fetch cache, a latency model —
 // for the duration of a run and restore the original afterwards. Effort
 // accounting is unaffected: the session counts logical requests above the
-// client. Like the session itself, not safe for concurrent use.
+// client. Not safe to call while a crawl is running.
 func (s *Session) SwapClient(c Client) Client {
 	old := s.client
 	if c != nil {
@@ -298,7 +185,7 @@ func (s *Session) SwapClient(c Client) Client {
 
 // MetricsRegistry returns the registry the session was instrumented with
 // (nil when uninstrumented), so components derived from the session —
-// fetchers, fetch caches — can publish to the same exposition.
+// fetch caches — can publish to the same exposition.
 func (s *Session) MetricsRegistry() *obs.Registry {
 	if s.m == nil {
 		return nil
@@ -306,93 +193,32 @@ func (s *Session) MetricsRegistry() *obs.Registry {
 	return s.m.reg
 }
 
-// Fetcher derives a concurrent fetcher from the session's tuning — retry
-// budget, per-request timeout, metrics and event logger — over the given
-// client, or the session's own when c is nil. The derived fetcher shares
-// the session's suspended-account knowledge but keeps its own effort tally;
-// its Logical tally counts requests the way the session's Effort does.
-func (s *Session) Fetcher(c Client, workers int) *Fetcher {
-	if c == nil {
-		c = s.client
-	}
-	f := NewFetcher(c, workers)
-	if s.MaxRetries > 0 {
-		f.MaxRetries = s.MaxRetries
-	}
-	f.Timeout = s.Timeout
-	f.m = s.m
-	f.lg = s.lg
-	for a := range s.suspended {
-		f.suspended[a] = true
-	}
-	return f
+// Effort returns the running request tally. It counts logical requests
+// (the paper's Table 3 semantics): one per page or profile asked for, plus
+// one per account rotation after a suspension. Extra attempts spent riding
+// out throttles and transient failures are tallied in Retries instead.
+func (s *Session) Effort() Effort {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.effort
 }
 
-// FetchCaching marks clients that already memoize profile and friend-list
-// fetches (the crawler/cache package's Cache, store.CachedClient), so
-// layers that would otherwise add a run-local cache — core.RunContext —
-// know not to stack a second one.
-type FetchCaching interface {
-	CachesFetches()
+// Retries returns the per-category tally of extra attempts after throttled
+// or transient failures.
+func (s *Session) Retries() Effort {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.retries
 }
 
-// nextAccount returns a non-suspended account index, rotating round-robin.
-func (s *Session) nextAccount() (int, error) {
-	n := s.client.Accounts()
-	for i := 0; i < n; i++ {
-		a := (s.rot + i) % n
-		if !s.suspended[a] {
-			s.rot = (a + 1) % n
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("crawler: all %d accounts suspended", n)
-}
-
-// LookupSchool resolves the target school, retrying transient failures.
-func (s *Session) LookupSchool(name string) (osn.SchoolRef, error) {
-	return retryValue(s, catSeed, func() (osn.SchoolRef, error) {
-		return s.client.LookupSchool(name)
-	})
-}
-
-// CollectSeeds runs the school search on each of the given accounts,
-// scrolling every account's results to exhaustion, and returns the deduped
-// union — the paper's seed set S. Each page fetch counts one seed request.
-func (s *Session) CollectSeeds(schoolID int, accounts []int) ([]osn.SearchResult, error) {
-	seen := make(map[osn.PublicID]bool)
-	var out []osn.SearchResult
-	for _, acct := range accounts {
-		if s.suspended[acct] {
-			continue
-		}
-		for pg := 0; ; pg++ {
-			s.countRequest(catSeed)
-			res, err := retryValue(s, catSeed, func() (page[osn.SearchResult], error) {
-				results, more, err := s.client.Search(acct, schoolID, pg)
-				return page[osn.SearchResult]{items: results, more: more}, err
-			})
-			if errors.Is(err, osn.ErrSuspended) {
-				s.suspended[acct] = true
-				s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-					evlog.Int("account", acct), evlog.Str("category", catSeed.String()))
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("crawler: seed search (account %d page %d): %w", acct, pg, err)
-			}
-			for _, r := range res.items {
-				if !seen[r.ID] {
-					seen[r.ID] = true
-					out = append(out, r)
-				}
-			}
-			if !res.more {
-				break
-			}
-		}
-	}
-	return out, nil
+// Failures returns the per-category tally of requests that failed for
+// good: transient errors that exhausted the retry budget, or unexpected
+// permanent errors (suspensions and hidden lists are expected outcomes, not
+// failures).
+func (s *Session) Failures() Effort {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failures
 }
 
 // AllAccounts returns [0..n) for the client's account pool.
@@ -405,53 +231,116 @@ func (s *Session) AllAccounts() []int {
 	return out
 }
 
-// FetchProfile downloads one public profile, rotating accounts and
-// retrying once per remaining account on suspension.
-func (s *Session) FetchProfile(id osn.PublicID) (*osn.PublicProfile, error) {
-	for {
-		acct, err := s.nextAccount()
-		if err != nil {
-			return nil, err
+// account returns a non-suspended account index, rotating round-robin.
+func (s *Session) account() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.client.Accounts()
+	for i := 0; i < n; i++ {
+		a := (s.next + i) % n
+		if !s.suspended[a] {
+			s.next = (a + 1) % n
+			return a, nil
 		}
-		s.countRequest(catProfile)
-		pp, err := retryValue(s, catProfile, func() (*osn.PublicProfile, error) {
-			return s.client.Profile(acct, id)
-		})
-		if errors.Is(err, osn.ErrSuspended) {
-			s.suspended[acct] = true
-			s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-				evlog.Int("account", acct), evlog.Str("category", catProfile.String()))
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return pp, nil
 	}
+	return 0, fmt.Errorf("crawler: all %d accounts suspended", n)
 }
 
-// FetchFriends downloads a user's complete friend list across all pages.
-// It returns osn.ErrHidden unwrapped if the list is not stranger-visible so
-// callers can branch on it.
-func (s *Session) FetchFriends(id osn.PublicID) ([]osn.FriendRef, error) {
+func (s *Session) isSuspended(acct int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.suspended[acct]
+}
+
+func (s *Session) suspend(acct int) {
+	s.mu.Lock()
+	s.suspended[acct] = true
+	s.mu.Unlock()
+}
+
+// tally adds one to the category's field of a session tally.
+func (s *Session) tally(t *Effort, c category) {
+	s.mu.Lock()
+	*c.bucket(t)++
+	s.mu.Unlock()
+}
+
+// LookupSchool resolves the target school through the retry loop. It
+// counts no logical request; its retries and failures land in the seed
+// category.
+func (s *Session) LookupSchool(ctx context.Context, name string) (osn.SchoolRef, error) {
+	return call(ctx, s, request{cat: catSeed, acct: -1, lookup: name}, func(int) (osn.SchoolRef, error) {
+		return s.client.LookupSchool(name)
+	})
+}
+
+// CollectSeeds runs the school search on each of the given accounts over a
+// pool of workers and returns the deduped union — the paper's seed set S.
+// Each account scrolls its own results to exhaustion on that account (search
+// views are per-account, so rotating mid-walk would splice two result
+// sequences together); a suspension drops the account's remaining pages,
+// and accounts already known suspended are skipped. The walks merge in
+// account order with first-seen dedup, so the output does not depend on
+// the width. Each page fetched counts one seed request.
+func (s *Session) CollectSeeds(ctx context.Context, workers, schoolID int, accounts []int) ([]osn.SearchResult, error) {
+	walks := make([][]osn.SearchResult, len(accounts))
+	err := s.ForEach(ctx, workers, len(accounts), func(ctx context.Context, i int) error {
+		acct := accounts[i]
+		if s.isSuspended(acct) {
+			return nil
+		}
+		for pg := 0; ; pg++ {
+			res, err := call(ctx, s, request{cat: catSeed, acct: acct, school: schoolID, page: pg}, func(acct int) (page[osn.SearchResult], error) {
+				results, more, err := s.client.Search(acct, schoolID, pg)
+				return page[osn.SearchResult]{items: results, more: more}, err
+			})
+			if errors.Is(err, osn.ErrSuspended) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("crawler: seed search (account %d page %d): %w", acct, pg, err)
+			}
+			walks[i] = append(walks[i], res.items...)
+			if !res.more {
+				return nil
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[osn.PublicID]bool)
+	var out []osn.SearchResult
+	for _, walk := range walks {
+		for _, r := range walk {
+			if !seen[r.ID] {
+				seen[r.ID] = true
+				out = append(out, r)
+			}
+		}
+	}
+	return out, nil
+}
+
+// FetchProfile downloads one public profile, rotating accounts on
+// suspension. Terminal platform verdicts are returned unwrapped.
+func (s *Session) FetchProfile(ctx context.Context, id osn.PublicID) (*osn.PublicProfile, error) {
+	return call(ctx, s, request{cat: catProfile, acct: -1, id: id}, func(acct int) (*osn.PublicProfile, error) {
+		return s.client.Profile(acct, id)
+	})
+}
+
+// FetchFriends downloads a user's complete friend list across all pages,
+// each page one logical request on the next account. It returns
+// osn.ErrHidden unwrapped if the list is not stranger-visible so callers
+// can branch on it; a visible but empty list yields a nil slice.
+func (s *Session) FetchFriends(ctx context.Context, id osn.PublicID) ([]osn.FriendRef, error) {
 	var out []osn.FriendRef
 	for pg := 0; ; pg++ {
-		acct, err := s.nextAccount()
-		if err != nil {
-			return nil, err
-		}
-		s.countRequest(catFriend)
-		res, err := retryValue(s, catFriend, func() (page[osn.FriendRef], error) {
+		res, err := call(ctx, s, request{cat: catFriend, acct: -1, id: id, page: pg}, func(acct int) (page[osn.FriendRef], error) {
 			friends, more, err := s.client.FriendPage(acct, id, pg)
 			return page[osn.FriendRef]{items: friends, more: more}, err
 		})
-		if errors.Is(err, osn.ErrSuspended) {
-			s.suspended[acct] = true
-			s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-				evlog.Int("account", acct), evlog.Str("category", catFriend.String()))
-			pg-- // retry the same page on another account
-			continue
-		}
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,10 @@
 package crawler
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"hsprofiler/internal/osn"
 	"hsprofiler/internal/osnhttp"
@@ -53,7 +53,7 @@ func TestCollectSeedsDedupes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSession(d)
-	seeds, err := s.CollectSeeds(0, s.AllAccounts())
+	seeds, err := s.CollectSeeds(context.Background(), 1, 0, s.AllAccounts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestCollectSeedsDedupes(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Fatal("no seeds collected")
 	}
-	if s.Effort.SeedRequests == 0 {
+	if s.Effort().SeedRequests == 0 {
 		t.Fatal("seed requests not counted")
 	}
 	// Two accounts must widen the union beyond one account's cap.
 	s1 := NewSession(d)
-	single, err := s1.CollectSeeds(0, []int{0})
+	single, err := s1.CollectSeeds(context.Background(), 1, 0, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestFetchFriendsCountsPages(t *testing.T) {
 			continue
 		}
 		id, _ := p.PublicIDOf(person.ID)
-		before := s.Effort.FriendListRequests
-		friends, err := s.FetchFriends(id)
+		before := s.Effort().FriendListRequests
+		friends, err := s.FetchFriends(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestFetchFriendsCountsPages(t *testing.T) {
 			t.Fatalf("fetched %d friends, degree %d", len(friends), deg)
 		}
 		wantPages := (deg + 9) / 10
-		if got := s.Effort.FriendListRequests - before; got != wantPages {
+		if got := s.Effort().FriendListRequests - before; got != wantPages {
 			t.Fatalf("used %d requests for %d friends with page size 10 (want %d)", got, deg, wantPages)
 		}
 		return
@@ -126,7 +126,7 @@ func TestFetchFriendsHidden(t *testing.T) {
 	for _, person := range w.People {
 		if person.HasAccount && person.RegisteredMinorAt(w.Now) {
 			id, _ := p.PublicIDOf(person.ID)
-			if _, err := s.FetchFriends(id); !errors.Is(err, osn.ErrHidden) {
+			if _, err := s.FetchFriends(context.Background(), id); !errors.Is(err, osn.ErrHidden) {
 				t.Fatalf("got %v, want ErrHidden", err)
 			}
 			return
@@ -151,7 +151,7 @@ func TestAccountRotationOnSuspension(t *testing.T) {
 			continue
 		}
 		id, _ := p.PublicIDOf(person.ID)
-		if _, err := s.FetchProfile(id); err != nil {
+		if _, err := s.FetchProfile(context.Background(), id); err != nil {
 			// Eventually every account is suspended; that error must be the
 			// explicit all-suspended one.
 			if fetched < 12 {
@@ -191,7 +191,7 @@ func TestHTTPAndDirectSeedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := NewSession(hc)
-	seeds, err := hs.CollectSeeds(0, hs.AllAccounts())
+	seeds, err := hs.CollectSeeds(context.Background(), 1, 0, hs.AllAccounts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestHTTPAndDirectSeedParity(t *testing.T) {
 			t.Fatal("seed is a registered minor")
 		}
 	}
-	if hs.Effort.SeedRequests == 0 {
+	if hs.Effort().SeedRequests == 0 {
 		t.Fatal("HTTP effort not counted")
 	}
 }
@@ -223,21 +223,11 @@ func TestSessionAccessors(t *testing.T) {
 	if s.Client() != Client(d) {
 		t.Fatal("Client accessor wrong")
 	}
-	ref, err := s.LookupSchool(p.Schools()[0].Name)
+	ref, err := s.LookupSchool(context.Background(), p.Schools()[0].Name)
 	if err != nil || ref.ID != 0 {
 		t.Fatalf("lookup %+v %v", ref, err)
 	}
 	if _, err := d.LookupSchool("nope"); err == nil {
 		t.Fatal("unknown school accepted")
-	}
-}
-
-func TestDefaultBackoffCaps(t *testing.T) {
-	// Large attempts must not shift into negative durations or sleep
-	// unboundedly; just verify it returns promptly at the cap.
-	start := time.Now()
-	DefaultBackoff(60) // 5ms << 60 overflows without the cap
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("backoff slept %v", elapsed)
 	}
 }

@@ -1,58 +1,58 @@
 package crawler
 
-// Equality tests between the sequential Session and the parallel Fetcher:
-// the fetcher's batch primitives must reproduce the session's outputs and
-// its Table 3 effort semantics (Logical) exactly, at any worker count.
+// Width-invariance tests: the session's pool must make the same logical
+// requests, return the same outputs and keep the same Table 3 tally
+// whether it runs one worker (the sequential crawl) or several.
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"hsprofiler/internal/osn"
 )
 
-// TestFetcherCollectSeedsMatchesSession: the concurrent per-account search
-// walk must merge to the session's deduped seed list, and its logical
-// request tally must equal the session's Effort.
+// TestFetcherCollectSeedsMatchesSession: the per-account search walks must
+// merge to the one-worker session's deduped seed list at any width, with
+// the same seed-request tally.
 func TestFetcherCollectSeedsMatchesSession(t *testing.T) {
 	p := testWorldPlatform(t, osn.Config{SearchPerAccount: 20})
 	d, err := NewDirect(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(d)
-	want, err := sess.CollectSeeds(0, sess.AllAccounts())
+	ref := NewSession(d)
+	want, err := ref.CollectSeeds(context.Background(), 1, 0, ref.AllAccounts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, 8} {
-		f := NewFetcher(d, workers)
-		got, err := f.CollectSeeds(context.Background(), 0, sess.AllAccounts())
+	for _, workers := range []int{4, 8} {
+		s := NewSession(d)
+		got, err := s.CollectSeeds(context.Background(), workers, 0, s.AllAccounts())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: %d seeds, session found %d (or order differs)", workers, len(got), len(want))
+			t.Fatalf("workers=%d: %d seeds, one worker found %d (or order differs)", workers, len(got), len(want))
 		}
-		if f.Logical() != sess.Effort {
-			t.Fatalf("workers=%d: logical tally %+v, session effort %+v", workers, f.Logical(), sess.Effort)
+		if s.Effort() != ref.Effort() {
+			t.Fatalf("workers=%d: effort %+v, one worker counted %+v", workers, s.Effort(), ref.Effort())
 		}
 	}
 }
 
 // TestFetcherLogicalMatchesSessionEffort drives the same profile and
-// friend-list workload through a Session and through a Fetcher at several
-// worker counts: outputs and logical request counts must agree, while the
-// fetcher's attempt-based Effort is at least the logical count.
+// friend-list workload through the pool at 1, 4 and 8 workers: outputs and
+// logical request counts must agree.
 func TestFetcherLogicalMatchesSessionEffort(t *testing.T) {
 	p := testWorldPlatform(t, osn.Config{SearchPerAccount: 20})
 	d, err := NewDirect(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(d)
-	seeds, err := sess.CollectSeeds(0, sess.AllAccounts())
+	seeds, err := NewSession(d).CollectSeeds(context.Background(), 1, 0, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,52 +61,79 @@ func TestFetcherLogicalMatchesSessionEffort(t *testing.T) {
 		ids = append(ids, s.ID)
 	}
 
-	wantProfiles := make([]*osn.PublicProfile, len(ids))
-	wantFriends := make([][]osn.FriendRef, len(ids))
-	base := sess.Effort
-	for i, id := range ids {
-		pp, err := sess.FetchProfile(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantProfiles[i] = pp
-		friends, err := sess.FetchFriends(id)
-		if err != nil && err != osn.ErrHidden {
-			t.Fatal(err)
-		}
-		wantFriends[i] = friends
-	}
-	wantEffort := Effort{
-		ProfileRequests:    sess.Effort.ProfileRequests - base.ProfileRequests,
-		FriendListRequests: sess.Effort.FriendListRequests - base.FriendListRequests,
-	}
-
+	var (
+		wantProfiles []*osn.PublicProfile
+		wantFriends  [][]osn.FriendRef
+		wantEffort   Effort
+	)
 	for _, workers := range []int{1, 4, 8} {
-		f := NewFetcher(d, workers)
-		profiles, err := f.ProfilesContext(context.Background(), ids)
+		s := NewSession(d)
+		profiles, err := fetchProfiles(context.Background(), s, workers, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		friends, err := f.FriendListsContext(context.Background(), ids)
+		friends, err := fetchFriendLists(context.Background(), s, workers, ids)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if workers == 1 {
+			wantProfiles, wantFriends, wantEffort = profiles, friends, s.Effort()
+			if wantEffort.ProfileRequests != len(ids) {
+				t.Fatalf("one worker counted %d profile requests for %d ids", wantEffort.ProfileRequests, len(ids))
+			}
+			continue
 		}
 		if !reflect.DeepEqual(profiles, wantProfiles) {
-			t.Fatalf("workers=%d: profile batch differs from session", workers)
+			t.Fatalf("workers=%d: profile batch differs from one worker", workers)
 		}
-		for i := range friends {
-			// The session returns nil for hidden lists; the fetcher maps
-			// hidden to a nil entry too.
-			if !reflect.DeepEqual(friends[i], wantFriends[i]) {
-				t.Fatalf("workers=%d: friend list %d differs from session", workers, i)
-			}
+		if !reflect.DeepEqual(friends, wantFriends) {
+			t.Fatalf("workers=%d: friend lists differ from one worker", workers)
 		}
-		if got := f.Logical(); got != wantEffort {
-			t.Fatalf("workers=%d: logical %+v, session counted %+v", workers, got, wantEffort)
-		}
-		if eff := f.Effort(); eff.ProfileRequests < wantEffort.ProfileRequests ||
-			eff.FriendListRequests < wantEffort.FriendListRequests {
-			t.Fatalf("workers=%d: attempt tally %+v below logical %+v", workers, eff, wantEffort)
+		if got := s.Effort(); got != wantEffort {
+			t.Fatalf("workers=%d: effort %+v, one worker counted %+v", workers, got, wantEffort)
 		}
 	}
+}
+
+// fetchProfiles fetches ids over the session's pool, index-aligned with
+// ids — the batch shape the attack engine uses.
+func fetchProfiles(ctx context.Context, s *Session, workers int, ids []osn.PublicID) ([]*osn.PublicProfile, error) {
+	out := make([]*osn.PublicProfile, len(ids))
+	err := s.ForEach(ctx, workers, len(ids), func(ctx context.Context, i int) error {
+		pp, err := s.FetchProfile(ctx, ids[i])
+		if err != nil {
+			return fmt.Errorf("crawler: profile %s: %w", ids[i], err)
+		}
+		out[i] = pp
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fetchFriendLists fetches the complete friend lists of ids over the
+// session's pool, index-aligned with ids. Hidden lists yield a nil entry,
+// visible but empty ones an empty slice.
+func fetchFriendLists(ctx context.Context, s *Session, workers int, ids []osn.PublicID) ([][]osn.FriendRef, error) {
+	out := make([][]osn.FriendRef, len(ids))
+	err := s.ForEach(ctx, workers, len(ids), func(ctx context.Context, i int) error {
+		friends, err := s.FetchFriends(ctx, ids[i])
+		if errors.Is(err, osn.ErrHidden) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("crawler: friends of %s: %w", ids[i], err)
+		}
+		if friends == nil {
+			friends = []osn.FriendRef{}
+		}
+		out[i] = friends
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

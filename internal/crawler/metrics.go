@@ -85,7 +85,7 @@ const (
 	helpFailures = "Requests that failed for good after exhausting retries, by category."
 	helpLatency  = "Latency of individual platform client calls."
 	helpBackoff  = "Total time spent sleeping between transient retries."
-	helpQueue    = "Batch items fed to the fetcher pool and not yet completed."
+	helpQueue    = "Batch items handed to the session's worker pool and not yet completed."
 )
 
 func newCrawlMetrics(reg *obs.Registry) *crawlMetrics {
@@ -113,6 +113,13 @@ func (m *crawlMetrics) request(c category) {
 func (m *crawlMetrics) failure(c category) {
 	if m != nil {
 		m.failures[c].Inc()
+	}
+}
+
+// queued moves the queue-depth gauge by n batch items.
+func (m *crawlMetrics) queued(n int) {
+	if m != nil {
+		m.queue.Add(float64(n))
 	}
 }
 

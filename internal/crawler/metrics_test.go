@@ -31,7 +31,8 @@ func TestSessionMetricsMatchEffort(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := NewSession(d).Instrument(reg)
-	seeds, err := s.CollectSeeds(0, s.AllAccounts())
+	ctx := context.Background()
+	seeds, err := s.CollectSeeds(ctx, 1, 0, s.AllAccounts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +40,17 @@ func TestSessionMetricsMatchEffort(t *testing.T) {
 		if i >= 8 {
 			break
 		}
-		if _, err := s.FetchProfile(seed.ID); err != nil {
+		if _, err := s.FetchProfile(ctx, seed.ID); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.FetchFriends(seed.ID); err != nil && !errors.Is(err, osn.ErrHidden) {
+		if _, err := s.FetchFriends(ctx, seed.ID); err != nil && !errors.Is(err, osn.ErrHidden) {
 			t.Fatal(err)
 		}
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort.SeedRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, s.Effort.ProfileRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, s.Effort.FriendListRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort().SeedRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, s.Effort().ProfileRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, s.Effort().FriendListRequests)
 	requireCounter(t, snap, `crawl_failures_total{category="seed"}`, 0)
 }
 
@@ -71,34 +72,35 @@ func TestSessionMetricsRetries(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := NewSession(d).Instrument(reg)
-	s.Backoff = advanceBackoff(clock, 20*time.Second)
-	if _, err := s.CollectSeeds(0, s.AllAccounts()); err != nil {
+	s.Sleep = advanceBackoff(clock, 20*time.Second)
+	if _, err := s.CollectSeeds(context.Background(), 1, 0, s.AllAccounts()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Retries.SeedRequests == 0 {
+	if s.Retries().SeedRequests == 0 {
 		t.Fatal("throttle config produced no retries")
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_retries_total{category="seed",class="throttle"}`, s.Retries.SeedRequests)
+	requireCounter(t, snap, `crawl_retries_total{category="seed",class="throttle"}`, s.Retries().SeedRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort().SeedRequests)
 }
 
-// TestFetcherMetricsMatchEffort checks the parallel fetcher's counters
-// against its Effort view, and that the queue-depth gauge settles back to
-// zero once the batch drains.
+// TestFetcherMetricsMatchEffort checks the counters of a six-worker pool
+// against the session's Effort view, and that the queue-depth gauge settles
+// back to zero once the batches drain.
 func TestFetcherMetricsMatchEffort(t *testing.T) {
-	p, f := fetcherRig(t, 6, osn.Config{})
+	p, s := poolRig(t, osn.Config{})
 	reg := obs.NewRegistry()
-	f.Instrument(reg)
+	s.Instrument(reg)
 	ids := accountIDs(t, p, 40)
-	if _, err := f.ProfilesContext(context.Background(), ids); err != nil {
+	if _, err := fetchProfiles(context.Background(), s, 6, ids); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.FriendListsContext(context.Background(), ids[:10]); err != nil {
+	if _, err := fetchFriendLists(context.Background(), s, 6, ids[:10]); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, f.Effort().ProfileRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, f.Effort().FriendListRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, s.Effort().ProfileRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, s.Effort().FriendListRequests)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -109,16 +111,17 @@ func TestFetcherMetricsMatchEffort(t *testing.T) {
 	}
 }
 
-// TestFetcherBatchSpans checks that instrumented batch fetches open a span
-// per batch and one child span per request.
+// TestFetcherBatchSpans checks that a traced batch opens one span per
+// request under the caller's span, whatever the width.
 func TestFetcherBatchSpans(t *testing.T) {
-	p, f := fetcherRig(t, 4, osn.Config{})
+	p, s := poolRig(t, osn.Config{})
 	ids := accountIDs(t, p, 12)
 	tr := obs.NewTrace("crawl")
-	ctx := tr.Context(context.Background())
-	if _, err := f.ProfilesContext(ctx, ids); err != nil {
+	ctx, span := obs.StartSpan(tr.Context(context.Background()), "profiles-batch")
+	if _, err := fetchProfiles(ctx, s, 4, ids); err != nil {
 		t.Fatal(err)
 	}
+	span.End()
 	tr.Finish()
 	var batch *obs.Span
 	for _, s := range tr.Root().Children() {
@@ -161,7 +164,7 @@ func benchProfileLoop(b *testing.B, s *Session, id osn.PublicID) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.FetchProfile(id); err != nil {
+		if _, err := s.FetchProfile(context.Background(), id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,10 @@
 package crawler
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hsprofiler/internal/osn"
@@ -10,14 +12,14 @@ import (
 	"hsprofiler/internal/worldgen"
 )
 
-func fetcherRig(t testing.TB, workers int, cfg osn.Config) (*osn.Platform, *Fetcher) {
+func poolRig(t testing.TB, cfg osn.Config) (*osn.Platform, *Session) {
 	t.Helper()
 	p := testWorldPlatform(t, cfg)
 	d, err := NewDirect(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, NewFetcher(d, workers)
+	return p, NewSession(d)
 }
 
 func accountIDs(t testing.TB, p *osn.Platform, limit int) []osn.PublicID {
@@ -37,9 +39,9 @@ func accountIDs(t testing.TB, p *osn.Platform, limit int) []osn.PublicID {
 }
 
 func TestFetcherProfilesAligned(t *testing.T) {
-	p, f := fetcherRig(t, 8, osn.Config{})
+	p, s := poolRig(t, osn.Config{})
 	ids := accountIDs(t, p, 60)
-	profiles, err := f.Profiles(ids)
+	profiles, err := fetchProfiles(context.Background(), s, 8, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,39 +53,39 @@ func TestFetcherProfilesAligned(t *testing.T) {
 			t.Fatalf("slot %d misaligned: %v", i, pp)
 		}
 	}
-	if got := f.Effort().ProfileRequests; got != len(ids) {
+	if got := s.Effort().ProfileRequests; got != len(ids) {
 		t.Fatalf("effort %d, want %d", got, len(ids))
 	}
 }
 
 func TestFetcherMatchesSequential(t *testing.T) {
-	p, f := fetcherRig(t, 6, osn.Config{})
+	p, s := poolRig(t, osn.Config{})
 	d, err := NewDirect(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(d)
+	seq := NewSession(d)
 	ids := accountIDs(t, p, 40)
-	par, err := f.Profiles(ids)
+	par, err := fetchProfiles(context.Background(), s, 6, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		seq, err := sess.FetchProfile(id)
+		want, err := seq.FetchProfile(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *par[i] != *seq {
+		if *par[i] != *want {
 			// Birthday is a pointer; compare fields that matter.
-			if par[i].Name != seq.Name || par[i].HighSchool != seq.HighSchool {
-				t.Fatalf("parallel and sequential views differ for %s", id)
+			if par[i].Name != want.Name || par[i].HighSchool != want.HighSchool {
+				t.Fatalf("six-worker and one-worker views differ for %s", id)
 			}
 		}
 	}
 }
 
 func TestFetcherFriendListsHiddenNil(t *testing.T) {
-	p, f := fetcherRig(t, 4, osn.Config{FriendPageSize: 9})
+	p, s := poolRig(t, osn.Config{FriendPageSize: 9})
 	w := p.World()
 	var ids []osn.PublicID
 	var wantHidden []bool
@@ -99,7 +101,7 @@ func TestFetcherFriendListsHiddenNil(t *testing.T) {
 			break
 		}
 	}
-	lists, err := f.FriendLists(ids)
+	lists, err := fetchFriendLists(context.Background(), s, 4, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +122,8 @@ func TestFetcherFriendListsHiddenNil(t *testing.T) {
 }
 
 func TestFetcherErrorPropagates(t *testing.T) {
-	_, f := fetcherRig(t, 4, osn.Config{})
-	_, err := f.Profiles([]osn.PublicID{"does-not-exist"})
+	_, s := poolRig(t, osn.Config{})
+	_, err := fetchProfiles(context.Background(), s, 4, []osn.PublicID{"does-not-exist"})
 	if err == nil || !strings.Contains(err.Error(), "does-not-exist") {
 		t.Fatalf("got %v", err)
 	}
@@ -133,9 +135,8 @@ func TestFetcherAllAccountsSuspended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFetcher(d, 4)
 	ids := accountIDs(t, p, 60)
-	if _, err := f.Profiles(ids); err == nil {
+	if _, err := fetchProfiles(context.Background(), NewSession(d), 4, ids); err == nil {
 		t.Fatal("expected failure once every account is suspended")
 	}
 }
@@ -152,7 +153,6 @@ func TestFetcherOverHTTPConcurrency(t *testing.T) {
 	if err := c.RegisterAccounts(3); err != nil {
 		t.Fatal(err)
 	}
-	f := NewFetcher(c, 10)
 	var ids []osn.PublicID
 	for _, person := range w.People {
 		if person.HasAccount {
@@ -163,7 +163,7 @@ func TestFetcherOverHTTPConcurrency(t *testing.T) {
 			break
 		}
 	}
-	profiles, err := f.Profiles(ids)
+	profiles, err := fetchProfiles(context.Background(), NewSession(c), 10, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,23 @@ func TestFetcherOverHTTPConcurrency(t *testing.T) {
 	}
 }
 
+// TestFetcherMinWorkers: a non-positive width is a one-worker pool, and
+// every item runs exactly once at any width.
 func TestFetcherMinWorkers(t *testing.T) {
-	p, _ := fetcherRig(t, 0, osn.Config{})
-	d, err := NewDirect(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFetcher(d, 0)
-	if f.workers != 1 {
-		t.Fatalf("workers %d", f.workers)
+	_, s := poolRig(t, osn.Config{})
+	for _, workers := range []int{-1, 0, 1, 3, 50} {
+		const n = 17
+		var runs [n]atomic.Int32
+		if err := s.ForEach(context.Background(), workers, n, func(_ context.Context, i int) error {
+			runs[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, got)
+			}
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"hsprofiler/internal/sim"
 )
 
-// scriptClient is a scripted Client for fetcher invariants: it decides
+// scriptClient is a scripted Client for crawl-stack invariants: it decides
 // per-id transient-failure schedules and per-account suspension points, and
-// records every call it serves so tests can compare the fetcher's
+// records every call it serves so tests can compare the session's
 // accounting against ground truth.
 type scriptClient struct {
 	accounts        int
@@ -131,17 +131,18 @@ func (m *scriptClient) totalCalls() int {
 	return m.calls
 }
 
-func instantFetcher(c Client, workers int) *Fetcher {
-	f := NewFetcher(c, workers)
-	f.Sleep = func(time.Duration) {}
-	return f
+// instantSession is a session over c whose backoff never sleeps.
+func instantSession(c Client) *Session {
+	s := NewSession(c)
+	s.Sleep = func(time.Duration) {}
+	return s
 }
 
-// TestFetcherPropertyAlignmentAndEffort drives randomized trials of the two
+// TestFetcherPropertyAlignmentAndEffort drives randomized trials of the
 // central invariants: results stay index-aligned with the input ids under
-// concurrency and scripted transient failures, and the fetcher's effort
-// tally equals the number of requests the client actually served,
-// retries included.
+// concurrency and scripted transient failures, every id counts exactly one
+// logical request, and logical requests plus retries equal the calls the
+// client actually served.
 func TestFetcherPropertyAlignmentAndEffort(t *testing.T) {
 	rng := sim.New(42).Stream("fetcher-props")
 	for trial := 0; trial < 30; trial++ {
@@ -158,8 +159,8 @@ func TestFetcherPropertyAlignmentAndEffort(t *testing.T) {
 				wantExtra += k
 			}
 		}
-		f := instantFetcher(m, workers)
-		profiles, err := f.Profiles(ids)
+		s := instantSession(m)
+		profiles, err := fetchProfiles(context.Background(), s, workers, ids)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -168,14 +169,14 @@ func TestFetcherPropertyAlignmentAndEffort(t *testing.T) {
 				t.Fatalf("trial %d: slot %d misaligned: %v", trial, i, pp)
 			}
 		}
-		if got, want := f.Effort().ProfileRequests, m.totalCalls(); got != want {
-			t.Fatalf("trial %d: effort %d, client served %d", trial, got, want)
+		if got := s.Effort().ProfileRequests; got != n {
+			t.Fatalf("trial %d: effort %d, want one logical request per id (%d)", trial, got, n)
 		}
-		if got, want := f.Effort().ProfileRequests, n+wantExtra; got != want {
-			t.Fatalf("trial %d: effort %d, want %d issued incl. retries", trial, got, want)
-		}
-		if got := f.Retries().ProfileRequests; got != wantExtra {
+		if got := s.Retries().ProfileRequests; got != wantExtra {
 			t.Fatalf("trial %d: retries %d, want %d", trial, got, wantExtra)
+		}
+		if got, want := s.Effort().ProfileRequests+s.Retries().ProfileRequests, m.totalCalls(); got != want {
+			t.Fatalf("trial %d: effort+retries %d, client served %d", trial, got, want)
 		}
 	}
 }
@@ -210,8 +211,8 @@ func TestFetcherPropertyFriendListsAligned(t *testing.T) {
 				m.transientBefore[ids[i]] = 1 + rng.Intn(2)
 			}
 		}
-		f := instantFetcher(m, 1+rng.Intn(6))
-		lists, err := f.FriendLists(ids)
+		s := instantSession(m)
+		lists, err := fetchFriendLists(context.Background(), s, 1+rng.Intn(6), ids)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -227,15 +228,15 @@ func TestFetcherPropertyFriendListsAligned(t *testing.T) {
 				t.Fatalf("trial %d: list %s has %d entries, want %d", trial, ids[i], len(lists[i]), total)
 			}
 		}
-		if got, want := f.Effort().FriendListRequests, m.totalCalls(); got != want {
-			t.Fatalf("trial %d: effort %d, client served %d", trial, got, want)
+		if got, want := s.Effort().FriendListRequests+s.Retries().FriendListRequests, m.totalCalls(); got != want {
+			t.Fatalf("trial %d: effort+retries %d, client served %d", trial, got, want)
 		}
 	}
 }
 
 // TestFetcherNeverUsesSuspendedAccountSequential is the strict form of the
 // suspension invariant: with one worker there is no discovery race, so
-// after an account's first ErrSuspended response the fetcher must never
+// after an account's first ErrSuspended response the session must never
 // touch it again.
 func TestFetcherNeverUsesSuspendedAccountSequential(t *testing.T) {
 	m := newScriptClient(4)
@@ -246,8 +247,8 @@ func TestFetcherNeverUsesSuspendedAccountSequential(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ids = append(ids, osn.PublicID(fmt.Sprintf("u%d", i)))
 	}
-	f := instantFetcher(m, 1)
-	if _, err := f.Profiles(ids); err != nil {
+	s := instantSession(m)
+	if _, err := fetchProfiles(context.Background(), s, 1, ids); err != nil {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
@@ -259,6 +260,11 @@ func TestFetcherNeverUsesSuspendedAccountSequential(t *testing.T) {
 		if served > 1 {
 			t.Errorf("account %d served %d suspended responses sequentially", acct, served)
 		}
+	}
+	// Each suspension repeats its request on the next account: one more
+	// logical request per suspended account.
+	if got, want := s.Effort().ProfileRequests, len(ids)+2; got != want {
+		t.Errorf("effort %d, want %d (one per id plus one per rotation)", got, want)
 	}
 }
 
@@ -273,8 +279,7 @@ func TestFetcherSuspendedAccountBoundConcurrent(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		ids = append(ids, osn.PublicID(fmt.Sprintf("u%d", i)))
 	}
-	f := instantFetcher(m, workers)
-	if _, err := f.Profiles(ids); err != nil {
+	if _, err := fetchProfiles(context.Background(), instantSession(m), workers, ids); err != nil {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
@@ -284,10 +289,24 @@ func TestFetcherSuspendedAccountBoundConcurrent(t *testing.T) {
 	}
 }
 
-// TestFetcherJoinsAllWorkerErrors locks in the forEach fix: when a batch
-// aborts, every collected item error appears in the joined result instead
-// of only the first buffered one.
+// barrierClient holds every profile call until all the calls the barrier
+// expects are in flight, so concurrent failures happen together.
+type barrierClient struct {
+	*scriptClient
+	wg *sync.WaitGroup
+}
+
+func (b barrierClient) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error) {
+	b.wg.Done()
+	b.wg.Wait()
+	return b.scriptClient.Profile(acct, id)
+}
+
+// TestFetcherJoinsAllWorkerErrors: when several items fail at once, the
+// pool stops and every item error appears in the joined result instead of
+// only the first one.
 func TestFetcherJoinsAllWorkerErrors(t *testing.T) {
+	const workers = 4
 	m := newScriptClient(2)
 	var ids []osn.PublicID
 	for i := 0; i < 6; i++ {
@@ -295,34 +314,18 @@ func TestFetcherJoinsAllWorkerErrors(t *testing.T) {
 		m.permanent[id] = osn.ErrNotFound
 		ids = append(ids, id)
 	}
-	f := instantFetcher(m, 4)
-	f.Tolerance = 2
-	_, err := f.Profiles(ids)
+	var wg sync.WaitGroup
+	wg.Add(workers) // the first `workers` items fail together; the rest never start
+	s := instantSession(barrierClient{scriptClient: m, wg: &wg})
+	_, err := fetchProfiles(context.Background(), s, workers, ids)
 	if err == nil {
-		t.Fatal("expected joined failure beyond tolerance")
+		t.Fatal("expected joined failure")
 	}
-	if got := strings.Count(err.Error(), "crawler: profile bad"); got < 3 {
-		t.Fatalf("joined error carries %d item errors, want at least Tolerance+1 = 3:\n%v", got, err)
+	if got := strings.Count(err.Error(), "crawler: profile bad"); got != workers {
+		t.Fatalf("joined error carries %d item errors, want %d:\n%v", got, workers, err)
 	}
-}
-
-// TestFetcherToleranceAbsorbsFailures: failures within tolerance yield nil
-// slots and a nil error, with the failure tally carrying the count.
-func TestFetcherToleranceAbsorbsFailures(t *testing.T) {
-	m := newScriptClient(2)
-	ids := []osn.PublicID{"a", "bad", "c"}
-	m.permanent["bad"] = osn.ErrNotFound
-	f := instantFetcher(m, 2)
-	f.Tolerance = 1
-	profiles, err := f.Profiles(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if profiles[0] == nil || profiles[2] == nil {
-		t.Fatal("healthy slots missing")
-	}
-	if profiles[1] != nil {
-		t.Fatal("failed slot not nil")
+	if got := s.Failures().ProfileRequests; got != workers {
+		t.Fatalf("%d profile failures tallied, want %d", got, workers)
 	}
 }
 
@@ -333,16 +336,16 @@ func TestFetcherTimeoutRetries(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	m.block["slow"] = release
-	f := instantFetcher(m, 2)
-	f.Timeout = 20 * time.Millisecond
-	profiles, err := f.Profiles([]osn.PublicID{"slow", "fast"})
+	s := instantSession(m)
+	s.Timeout = 20 * time.Millisecond
+	profiles, err := fetchProfiles(context.Background(), s, 2, []osn.PublicID{"slow", "fast"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if profiles[0] == nil || profiles[0].ID != "slow" {
 		t.Fatalf("slow slot: %v", profiles[0])
 	}
-	if f.Retries().ProfileRequests == 0 {
+	if s.Retries().ProfileRequests == 0 {
 		t.Fatal("timeout retry not tallied")
 	}
 }
@@ -355,10 +358,9 @@ func TestSessionTimeoutRetries(t *testing.T) {
 	m := newScriptClient(2)
 	release := make(chan struct{})
 	m.block["slow"] = release
-	s := NewSession(m)
-	s.Backoff = func(int) {}
+	s := instantSession(m)
 	s.Timeout = 20 * time.Millisecond
-	pp, err := s.FetchProfile("slow")
+	pp, err := s.FetchProfile(context.Background(), "slow")
 	// Release the abandoned first attempt while the result is still live,
 	// so a shared-variable write would be caught by the race detector.
 	close(release)
@@ -368,62 +370,108 @@ func TestSessionTimeoutRetries(t *testing.T) {
 	if pp == nil || pp.ID != "slow" {
 		t.Fatalf("profile = %v, want slow", pp)
 	}
-	if s.Retries.ProfileRequests == 0 {
+	if s.Retries().ProfileRequests == 0 {
 		t.Fatal("timeout retry not tallied")
 	}
-	if s.Effort.ProfileRequests != 1 {
-		t.Fatalf("effort counts %d profile requests, want 1 logical request", s.Effort.ProfileRequests)
+	if s.Effort().ProfileRequests != 1 {
+		t.Fatalf("effort counts %d profile requests, want 1 logical request", s.Effort().ProfileRequests)
 	}
 }
 
-// TestFetcherContextCancellation: cancelling the batch context stops the
-// crawl and surfaces the cancellation.
+// TestFetcherContextCancellation: cancelling the context stops the crawl
+// and surfaces the cancellation, at one worker and several.
 func TestFetcherContextCancellation(t *testing.T) {
-	m := newScriptClient(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	m.block["gate"] = release
-	var ids []osn.PublicID
-	ids = append(ids, "gate")
-	for i := 0; i < 200; i++ {
-		ids = append(ids, osn.PublicID(fmt.Sprintf("u%d", i)))
-	}
-	f := instantFetcher(m, 2)
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.ProfilesContext(ctx, ids)
-		done <- err
-	}()
-	cancel()
-	close(release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		m := newScriptClient(2)
+		ctx, cancel := context.WithCancel(context.Background())
+		release := make(chan struct{})
+		m.block["gate"] = release
+		var ids []osn.PublicID
+		ids = append(ids, "gate")
+		for i := 0; i < 200; i++ {
+			ids = append(ids, osn.PublicID(fmt.Sprintf("u%d", i)))
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := fetchProfiles(ctx, instantSession(m), workers, ids)
+			done <- err
+		}()
+		cancel()
+		close(release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
-// TestBackoffJitterDeterministic: two fetchers with the same seed produce
-// the same backoff schedule; different seeds diverge.
-func TestBackoffJitterDeterministic(t *testing.T) {
-	a := NewFetcher(newScriptClient(1), 1)
-	b := NewFetcher(newScriptClient(1), 1)
-	c := NewFetcher(newScriptClient(1), 1)
-	a.JitterSeed, b.JitterSeed, c.JitterSeed = 1, 1, 2
-	var diverged bool
-	for attempt := 0; attempt < 6; attempt++ {
-		da := a.backoffDelay("profile/u1", attempt)
-		db := b.backoffDelay("profile/u1", attempt)
-		dc := c.backoffDelay("profile/u1", attempt)
-		if da != db {
-			t.Fatalf("attempt %d: same seed diverged: %v vs %v", attempt, da, db)
+// TestFetcherCancelWaitsForInFlight: a cancelled crawl returns only once
+// the calls already in flight have finished, at any width.
+func TestFetcherCancelWaitsForInFlight(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		m := newScriptClient(2)
+		release := make(chan struct{})
+		m.block["slow"] = release
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := fetchProfiles(ctx, instantSession(m), workers, []osn.PublicID{"slow", "a", "b"})
+			done <- err
+		}()
+		for {
+			m.mu.Lock()
+			_, waiting := m.block["slow"]
+			m.mu.Unlock()
+			if !waiting {
+				break // the slow call is in flight
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if da != dc {
+		cancel()
+		select {
+		case err := <-done:
+			t.Fatalf("workers=%d: returned %v while a call was still in flight", workers, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+	}
+}
+
+// TestBackoffJitterDeterministic: the backoff schedule is a pure function
+// of the request and the attempt — two sessions sleep identically, another
+// request gets another jitter — and it doubles within [base/2, maxDelay].
+func TestBackoffJitterDeterministic(t *testing.T) {
+	schedule := func(id osn.PublicID) []time.Duration {
+		m := newScriptClient(1)
+		m.transientBefore[id] = maxRetries
+		var delays []time.Duration
+		s := NewSession(m)
+		s.Sleep = func(d time.Duration) { delays = append(delays, d) }
+		if _, err := s.FetchProfile(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		return delays
+	}
+	a, b, c := schedule("u1"), schedule("u1"), schedule("u2")
+	if len(a) != maxRetries {
+		t.Fatalf("%d backoffs for %d retries", len(a), maxRetries)
+	}
+	var diverged bool
+	for k := range a {
+		if a[k] != b[k] {
+			t.Fatalf("attempt %d: same request diverged: %v vs %v", k, a[k], b[k])
+		}
+		if a[k] != c[k] {
 			diverged = true
 		}
-		if da <= 0 {
-			t.Fatalf("attempt %d: non-positive delay %v", attempt, da)
+		ceil := min(baseDelay<<k, maxDelay)
+		if a[k] < ceil/2 || a[k] > ceil {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v]", k, a[k], ceil/2, ceil)
 		}
 	}
 	if !diverged {
-		t.Fatal("different seeds never diverged")
+		t.Fatal("different requests never diverged")
 	}
 }

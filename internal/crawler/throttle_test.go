@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ func (c *fakeClock) now() time.Time { return c.t }
 
 // advanceBackoff advances the fake clock instead of sleeping, so throttle
 // retries succeed instantly in test time.
-func advanceBackoff(c *fakeClock, step time.Duration) func(int) {
-	return func(int) { c.t = c.t.Add(step) }
+func advanceBackoff(c *fakeClock, step time.Duration) func(time.Duration) {
+	return func(time.Duration) { c.t = c.t.Add(step) }
 }
 
 func TestSessionRetriesThrottled(t *testing.T) {
@@ -36,11 +37,11 @@ func TestSessionRetriesThrottled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := NewSession(d)
-	sess.Backoff = advanceBackoff(clock, 20*time.Second)
+	sess.Sleep = advanceBackoff(clock, 20*time.Second)
 
 	// Far more requests than the window allows in one instant: the
 	// session must ride the throttle via backoff and still finish.
-	seeds, err := sess.CollectSeeds(0, sess.AllAccounts())
+	seeds, err := sess.CollectSeeds(context.Background(), 1, 0, sess.AllAccounts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSessionRetriesThrottled(t *testing.T) {
 		if i >= 12 {
 			break
 		}
-		if _, err := sess.FetchProfile(s.ID); err != nil {
+		if _, err := sess.FetchProfile(context.Background(), s.ID); err != nil {
 			t.Fatalf("profile %d under throttle: %v", i, err)
 		}
 	}
@@ -73,14 +74,19 @@ func TestSessionThrottleRetriesExhaust(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := NewSession(d)
-	sess.Backoff = func(int) {} // never advances time: retries cannot help
-	sess.MaxRetries = 3
+	sess.Sleep = func(time.Duration) {} // never advances time: retries cannot help
 
 	if _, _, err := d.Search(0, 0, 0); err != nil {
 		t.Fatal(err) // consume the only slot
 	}
-	_, err = sess.CollectSeeds(0, sess.AllAccounts())
+	_, err = sess.CollectSeeds(context.Background(), 1, 0, sess.AllAccounts())
 	if !errors.Is(err, osn.ErrThrottled) {
 		t.Fatalf("got %v, want ErrThrottled after retries exhaust", err)
+	}
+	if got := sess.Retries().SeedRequests; got != maxRetries {
+		t.Fatalf("%d seed retries before giving up, want the budget of %d", got, maxRetries)
+	}
+	if got := sess.Failures().SeedRequests; got != 1 {
+		t.Fatalf("%d seed failures, want 1", got)
 	}
 }

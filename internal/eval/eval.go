@@ -9,6 +9,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"hsprofiler/internal/core"
@@ -142,7 +143,8 @@ func CollectTestUsers(sess *crawler.Session, school osn.SchoolRef, currentYear i
 	for _, s := range firstSeeds {
 		inFirst[s.ID] = true
 	}
-	seeds, err := sess.CollectSeeds(school.ID, accounts)
+	ctx := context.TODO()
+	seeds, err := sess.CollectSeeds(ctx, 1, school.ID, accounts)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +153,7 @@ func CollectTestUsers(sess *crawler.Session, school osn.SchoolRef, currentYear i
 		if inFirst[s.ID] {
 			continue
 		}
-		pp, err := sess.FetchProfile(s.ID)
+		pp, err := sess.FetchProfile(ctx, s.ID)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hsprofiler/internal/core"
@@ -43,7 +44,7 @@ func AuxHiddenLinks(l *Lab, sc Scenario) ([]HiddenLinkPoint, *report.Table, erro
 		t = sc.MaxThreshold
 	}
 	sel := res.Select(t, true)
-	dossier, err := extend.Build(sess, sel)
+	dossier, err := extend.Build(context.TODO(), sess, 1, sel)
 	if err != nil {
 		return nil, nil, err
 	}

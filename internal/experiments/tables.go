@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hsprofiler/internal/core"
@@ -246,7 +247,7 @@ func Table5(l *Lab, scenarios []Scenario) ([]Table5Column, *report.Table, error)
 			t = sc.MaxThreshold
 		}
 		sel := res.Select(t, true)
-		dossier, err := extend.Build(sess, sel)
+		dossier, err := extend.Build(context.TODO(), sess, 1, sel)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -36,82 +36,41 @@ type Dossier struct {
 	FriendNames map[osn.PublicID]string
 }
 
-// Build downloads profiles and visible friend lists for every member of H
-// and performs reverse lookup for the hidden ones. The per-request effort
-// lands on the session's tally, as in the paper's §6 crawl.
-func Build(sess *crawler.Session, sel []core.Inferred) (*Dossier, error) {
-	sess.Log().Info(context.Background(), "extend", "dossier build started",
-		evlog.Int("students", len(sel)))
+// Build downloads the profile and, when visible, the full friend list of
+// every member of H over the session's worker pool, workers wide, and
+// performs reverse lookup for the hidden ones. The per-request effort lands
+// on the session's tally, as in the paper's §6 crawl; the dossier and that
+// effort are the same at any width.
+func Build(ctx context.Context, sess *crawler.Session, workers int, sel []core.Inferred) (*Dossier, error) {
+	lg := sess.Log()
+	lg.Info(ctx, "extend", "dossier build started",
+		evlog.Int("students", len(sel)), evlog.Int("workers", workers))
 	profiles := make([]*osn.PublicProfile, len(sel))
 	lists := make([][]osn.FriendRef, len(sel))
-	for i, s := range sel {
-		pp, err := sess.FetchProfile(s.ID)
+	err := sess.ForEach(ctx, workers, len(sel), func(ctx context.Context, i int) error {
+		pp, err := sess.FetchProfile(ctx, sel[i].ID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		profiles[i] = pp
 		if !pp.FriendListVisible {
-			continue
+			return nil
 		}
-		friends, err := sess.FetchFriends(s.ID)
+		friends, err := sess.FetchFriends(ctx, sel[i].ID)
 		if errors.Is(err, osn.ErrHidden) {
-			continue
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if friends == nil {
+			friends = []osn.FriendRef{} // visible but empty: keep the entry
 		}
 		lists[i] = friends
-		if friends == nil {
-			lists[i] = []osn.FriendRef{} // visible but empty: keep the entry
-		}
-	}
-	d := assemble(sel, profiles, lists)
-	sess.Log().Info(context.Background(), "extend", "dossier assembled",
-		evlog.Int("profiles", len(d.Profiles)),
-		evlog.Int("public_lists", len(d.PublicFriends)),
-		evlog.Int("recovered_lists", len(d.RecoveredFriends)))
-	return d, nil
-}
-
-// BuildParallel is Build over a worker pool: profiles in one batch, then
-// the visible friend lists in a second. The dossier is identical to the
-// sequential one — batch order does not leak into the result — so the
-// paper's §6 crawl can be compressed wall-clock-wise without changing what
-// the third party learns. Effort lands on the fetcher's tally.
-func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred) (*Dossier, error) {
-	lg := evlog.FromContext(ctx)
-	lg.Info(ctx, "extend", "parallel dossier build started",
-		evlog.Int("students", len(sel)), evlog.Int("workers", f.Workers()))
-	ids := make([]osn.PublicID, len(sel))
-	for i, s := range sel {
-		ids[i] = s.ID
-	}
-	profiles, err := f.ProfilesContext(ctx, ids)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	var visIdx []int
-	var visIDs []osn.PublicID
-	for i, pp := range profiles {
-		// A nil profile is an item the fetcher's Tolerance absorbed; skip it
-		// so a tolerant crawl degrades per-item, like the sequential path
-		// under a failure budget.
-		if pp != nil && pp.FriendListVisible {
-			visIdx = append(visIdx, i)
-			visIDs = append(visIDs, ids[i])
-		}
-	}
-	visLists, err := f.FriendListsContext(ctx, visIDs)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]osn.FriendRef, len(sel))
-	for k, i := range visIdx {
-		// A nil slot means the list went hidden between the profile fetch
-		// and the list fetch; treat it like the sequential ErrHidden skip.
-		if visLists[k] != nil {
-			lists[i] = visLists[k]
-		}
 	}
 	d := assemble(sel, profiles, lists)
 	lg.Info(ctx, "extend", "dossier assembled",
@@ -123,8 +82,7 @@ func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred)
 
 // assemble builds the dossier from downloads aligned with sel: profiles[i]
 // belongs to sel[i], and lists[i] is its visible friend list (nil when the
-// list is hidden or was never fetched). The reverse-lookup pass is pure
-// computation, shared by the sequential and parallel builders.
+// list is hidden). The reverse-lookup pass is pure computation.
 func assemble(sel []core.Inferred, profiles []*osn.PublicProfile, lists [][]osn.FriendRef) *Dossier {
 	d := &Dossier{
 		Profiles:         make(map[osn.PublicID]*osn.PublicProfile, len(sel)),
@@ -138,9 +96,6 @@ func assemble(sel []core.Inferred, profiles []*osn.PublicProfile, lists [][]osn.
 	}
 	recovered := make(map[osn.PublicID]map[osn.PublicID]bool)
 	for i, s := range sel {
-		if profiles[i] == nil {
-			continue // absorbed by a tolerant fetcher: no profile, no list
-		}
 		d.Profiles[s.ID] = profiles[i]
 		if lists[i] == nil {
 			continue

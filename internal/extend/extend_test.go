@@ -1,6 +1,7 @@
 package extend
 
 import (
+	"context"
 	"testing"
 
 	"hsprofiler/internal/core"
@@ -39,7 +40,7 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	sel := res.Select(60, true)
-	dossier, err := Build(sess, sel)
+	dossier, err := Build(context.Background(), sess, 1, sel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"hsprofiler/internal/core"
 	"hsprofiler/internal/crawler"
@@ -64,7 +65,7 @@ func runHS1HTTP(t *testing.T, world *worldgen.World, rate float64) (*core.Result
 		t.Fatal(err)
 	}
 	sess := crawler.NewSession(client)
-	sess.Backoff = func(int) {} // instant retries; determinism must not need real sleeps
+	sess.Sleep = func(time.Duration) {} // instant retries; determinism must not need real sleeps
 	res, err := core.Run(sess, core.Params{
 		SchoolName:   world.Schools[0].Name,
 		CurrentYear:  sc.CurrentYear(),
@@ -166,7 +167,7 @@ func TestChaosHS1InProcess(t *testing.T) {
 			c = inj.Client(c)
 		}
 		sess := crawler.NewSession(c)
-		sess.Backoff = func(int) {}
+		sess.Sleep = func(time.Duration) {}
 		res, err := core.Run(sess, core.Params{
 			SchoolName:   world.Schools[0].Name,
 			CurrentYear:  sc.CurrentYear(),

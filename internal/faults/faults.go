@@ -3,7 +3,7 @@
 // platform that throttles, drops connections, serves partial pages and
 // suspends accounts; the paper's Table 3 numbers come from exactly such a
 // crawl. This package recreates that regime on demand so the crawl pipeline
-// (crawler.Session, crawler.Fetcher, store resume) can be tested against it
+// (crawler.Session at any worker count, store resume) can be tested against it
 // under `go test -race`, and so `cmd/osnd -faults` can serve a hostile
 // platform for end-to-end runs.
 //

@@ -442,7 +442,7 @@ func (r *ring) dump(w io.Writer) (int, error) {
 type ctxKey struct{}
 
 // NewContext returns ctx carrying the logger, for layers that receive a
-// context rather than a handle (core.RunContext, extend.BuildParallel).
+// context rather than a handle (core.RunContext).
 func NewContext(ctx context.Context, l *Logger) context.Context {
 	if l == nil {
 		return ctx

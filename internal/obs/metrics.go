@@ -7,7 +7,7 @@
 // nil metric handles whose methods are no-ops, and StartSpan on a context
 // without a trace returns a nil span whose End is a no-op. Hot paths can
 // therefore be instrumented unconditionally; the disabled cost is a nil
-// check (guarded by BenchmarkFetcherHotPath in internal/crawler).
+// check (guarded by BenchmarkSessionFetchProfile in internal/crawler).
 package obs
 
 import (

@@ -1,6 +1,7 @@
 package records
 
 import (
+	"context"
 	"testing"
 
 	"hsprofiler/internal/core"
@@ -145,7 +146,7 @@ func TestEndToEndAddressRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := res.Select(60, true)
-	dossier, err := extend.Build(sess, sel)
+	dossier, err := extend.Build(context.Background(), sess, 1, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
