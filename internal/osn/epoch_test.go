@@ -44,9 +44,10 @@ func TestConcurrentEpochRotation(t *testing.T) {
 		toks[i] = tok
 	}
 
-	// sameEpochWalk pages through a school search; ok reports whether every
-	// page (and the follow-up profile reads) came from one epoch — only
-	// then are cross-page assertions meaningful.
+	// sameEpochWalk pages through a school search; epoch is the newest epoch
+	// the walk saw, and ok reports whether every page (and the follow-up
+	// profile reads) came from one epoch — only then are cross-page
+	// assertions meaningful.
 	sameEpochWalk := func(tok string) (ids []PublicID, epoch uint64, ok bool) {
 		for page := 0; ; page++ {
 			res, more, eid, err := p.SchoolSearchEpoch(tok, 0, page)
@@ -57,7 +58,7 @@ func TestConcurrentEpochRotation(t *testing.T) {
 			if page == 0 {
 				epoch = eid
 			} else if eid != epoch {
-				return nil, 0, false // rotated mid-walk: cursor restarted, no claim
+				return nil, eid, false // rotated mid-walk: cursor restarted, no claim
 			}
 			for _, r := range res {
 				ids = append(ids, r.ID)

@@ -248,16 +248,48 @@ func (f *Frozen) CheckInvariants() error {
 			if i > 0 && row[i-1] >= v {
 				return fmt.Errorf("socialgraph: frozen row %d not strictly ascending at %d", u, i)
 			}
-			if !f.AreFriends(v, UserID(u)) {
-				return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", u, v)
-			}
 		}
+	}
+	if err := f.checkSymmetric(); err != nil {
+		return err
 	}
 	if users != f.users {
 		return fmt.Errorf("socialgraph: frozen user count %d, present %d", f.users, users)
 	}
 	if int64(2*f.edges) != int64(len(f.adj)) {
 		return fmt.Errorf("socialgraph: frozen edge count %d inconsistent with adjacency size %d", f.edges, len(f.adj))
+	}
+	return nil
+}
+
+// checkSymmetric proves that every entry u->v has its reverse v->u in one
+// merge pass over the rows, O(n+E), instead of one binary search per entry.
+// It requires offsets in range and every row strictly ascending, self-loop
+// free and inside the ID space, which CheckInvariants establishes first.
+//
+// Rows are visited in ascending u, so the entries u->v with u < v reach row
+// v in ascending u. In a symmetric graph they are exactly row v's entries
+// below v, in the same order: next[v] walks that prefix, and each forward
+// entry must find itself there. When row v's own turn comes, every u < v has
+// been visited, so an unmatched entry left in the prefix has no reverse.
+func (f *Frozen) checkSymmetric() error {
+	n := len(f.present)
+	next := append([]int64(nil), f.offsets[:n]...)
+	for u := 0; u < n; u++ {
+		end := f.offsets[u+1]
+		if i := next[u]; i < end && int(f.adj[i]) < u {
+			return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", u, f.adj[i])
+		}
+		for _, v := range f.adj[next[u]:end] {
+			i := next[v]
+			if i == f.offsets[v+1] || f.adj[i] > UserID(u) {
+				return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", u, v)
+			}
+			if f.adj[i] < UserID(u) { // row adj[i] came before u and lacks v
+				return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", v, f.adj[i])
+			}
+			next[v]++
+		}
 	}
 	return nil
 }

@@ -146,7 +146,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := f.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrozenBinary(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeFrozen(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 
 	// Truncations at every prefix length must error, never panic.
 	for cut := 0; cut < len(valid); cut += 17 {
-		if _, err := ReadFrozenBinary(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := DecodeFrozen(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	for i := 0; i < len(valid); i += 13 {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		got, err := ReadFrozenBinary(bytes.NewReader(mut))
+		got, err := DecodeFrozen(mut)
 		if err == nil {
 			if got == nil {
 				t.Fatalf("flip at %d: nil snapshot without error", i)
@@ -187,7 +187,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// A huge claimed ID space must be rejected up front.
-	if _, err := ReadFrozenBinary(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})); err == nil {
+	if _, err := DecodeFrozen([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}); err == nil {
 		t.Fatal("oversized id space accepted")
 	}
 }

@@ -12,9 +12,8 @@ import (
 // a typed error, never a panic, regardless of how the bytes were produced.
 var ErrCodec = errors.New("socialgraph: malformed frozen encoding")
 
-// maxCodecIDs bounds the ID space a snapshot may declare. It is far above
-// any real world (2^31 users) but keeps a hostile length prefix from driving
-// allocation before a single adjacency byte has been read.
+// maxCodecIDs bounds the ID space a snapshot may declare: every ID below it
+// fits a UserID.
 const maxCodecIDs = 1 << 31
 
 // WriteBinary encodes the snapshot: ID-space size, the present bitmap, user
@@ -71,64 +70,59 @@ func (f *Frozen) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ByteReader is the input the decoder needs: varints are read byte-wise,
-// bitmaps in bulk. *bufio.Reader and *bytes.Reader both satisfy it.
-type ByteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// ReadFrozenBinary decodes a snapshot written by WriteBinary. All length
-// prefixes are untrusted: slices grow as bytes actually arrive (every
-// decoded entry costs at least one input byte), so a lying header cannot
-// force allocation beyond a small multiple of the real input size. Any
-// structural violation returns an error wrapping ErrCodec.
-func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
-	numIDs64, err := binary.ReadUvarint(r)
+// DecodeFrozen decodes the complete encoding of a snapshot written by
+// WriteBinary; bytes after the last row are an error. Every length prefix is
+// untrusted. Each claimed count is checked against the bytes left before the
+// slice it sizes is allocated, since every degree and every adjacency entry
+// costs at least one byte, so a lying header cannot drive allocation beyond
+// a small multiple of len(b). present, offsets and adj are allocated once
+// each, at their exact size, and none of them aliases b. Any structural
+// violation returns an error wrapping ErrCodec.
+func DecodeFrozen(b []byte) (*Frozen, error) {
+	numIDs64, b, err := uvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: id space: %v", ErrCodec, err)
 	}
 	if numIDs64 > maxCodecIDs {
 		return nil, fmt.Errorf("%w: id space %d exceeds limit", ErrCodec, numIDs64)
 	}
-	n := int(numIDs64)
-
-	// Present bitmap, read in bounded chunks so the claimed ID space only
-	// costs memory once the bytes are really there.
-	present := make([]bool, 0, clampCap(n, 1<<16))
-	var chunk [8192]byte
-	for read := 0; read < (n+7)/8; {
-		want := (n+7)/8 - read
-		if want > len(chunk) {
-			want = len(chunk)
-		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return nil, fmt.Errorf("%w: present bitmap: %v", ErrCodec, err)
-		}
-		for i := 0; i < want; i++ {
-			for b := 0; b < 8 && len(present) < n; b++ {
-				present = append(present, chunk[i]&(1<<b) != 0)
-			}
-		}
-		read += want
+	// The bitmap, the user and edge counts, and one degree per ID.
+	if need := (numIDs64+7)/8 + 2 + numIDs64; need > uint64(len(b)) {
+		return nil, fmt.Errorf("%w: id space %d needs at least %d bytes, %d left", ErrCodec, numIDs64, need, len(b))
 	}
+	n := int(numIDs64)
+	bitmap := (n + 7) / 8
 
-	users64, err := binary.ReadUvarint(r)
+	present := make([]bool, n)
+	users := 0
+	for u := range present {
+		if b[u/8]&(1<<(u%8)) != 0 {
+			present[u] = true
+			users++
+		}
+	}
+	b = b[bitmap:]
+
+	users64, b, err := uvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: user count: %v", ErrCodec, err)
 	}
-	edges64, err := binary.ReadUvarint(r)
+	if users64 != uint64(users) {
+		return nil, fmt.Errorf("%w: user count %d != bitmap %d", ErrCodec, users64, users)
+	}
+	edges64, b, err := uvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: edge count: %v", ErrCodec, err)
 	}
-	if edges64 > uint64(maxCodecIDs)*64 {
-		return nil, fmt.Errorf("%w: edge count %d exceeds limit", ErrCodec, edges64)
+	// Each edge is two row entries after the n degrees.
+	if n > len(b) || edges64 > uint64(len(b)-n)/2 {
+		return nil, fmt.Errorf("%w: %d edges and %d degrees exceed the %d bytes left", ErrCodec, edges64, n, len(b))
 	}
 
-	offsets := make([]int64, 1, clampCap(n+1, 1<<16))
+	offsets := make([]int64, n+1)
 	for u := 0; u < n; u++ {
-		deg, err := binary.ReadUvarint(r)
-		if err != nil {
+		var deg uint64
+		if deg, b, err = uvarint(b); err != nil {
 			return nil, fmt.Errorf("%w: degree of %d: %v", ErrCodec, u, err)
 		}
 		if deg > uint64(n) {
@@ -137,46 +131,43 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 		if deg > 0 && !present[u] {
 			return nil, fmt.Errorf("%w: absent user %d has degree %d", ErrCodec, u, deg)
 		}
-		offsets = append(offsets, offsets[u]+int64(deg))
+		offsets[u+1] = offsets[u] + int64(deg)
 	}
 	total := offsets[n]
 	if total != int64(2*edges64) {
 		return nil, fmt.Errorf("%w: degree sum %d != 2×%d edges", ErrCodec, total, edges64)
 	}
+	if total > int64(len(b)) {
+		return nil, fmt.Errorf("%w: %d row entries exceed the %d bytes left", ErrCodec, total, len(b))
+	}
 
-	adj := make([]UserID, 0, clampCap64(total, 1<<16))
+	adj := make([]UserID, total)
 	for u := 0; u < n; u++ {
-		prev := int64(-1)
-		for i := offsets[u]; i < offsets[u+1]; i++ {
-			delta, err := binary.ReadUvarint(r)
-			if err != nil {
+		row := adj[offsets[u]:offsets[u+1]]
+		v := int64(-1)
+		for i := range row {
+			var delta uint64
+			if delta, b, err = uvarint(b); err != nil {
 				return nil, fmt.Errorf("%w: row of %d: %v", ErrCodec, u, err)
 			}
 			if delta > maxCodecIDs {
 				return nil, fmt.Errorf("%w: row delta %d of user %d exceeds id space", ErrCodec, delta, u)
 			}
-			v := prev + int64(delta)
-			if prev < 0 {
+			if i == 0 {
 				v = int64(delta) // first entry is absolute
 			} else if delta == 0 {
 				return nil, fmt.Errorf("%w: row of %d not strictly ascending", ErrCodec, u)
+			} else {
+				v += int64(delta)
 			}
 			if v >= int64(n) || int64(u) == v {
 				return nil, fmt.Errorf("%w: edge %d->%d out of range", ErrCodec, u, v)
 			}
-			adj = append(adj, UserID(v))
-			prev = v
+			row[i] = UserID(v)
 		}
 	}
-
-	users := 0
-	for _, p := range present {
-		if p {
-			users++
-		}
-	}
-	if users != int(users64) {
-		return nil, fmt.Errorf("%w: user count %d != bitmap %d", ErrCodec, users64, users)
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(b))
 	}
 	return &Frozen{
 		offsets: offsets,
@@ -187,23 +178,16 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 	}, nil
 }
 
-// clampCap caps an untrusted size claim for an initial slice capacity.
-func clampCap(n, limit int) int {
-	if n < 0 {
-		return 0
+// uvarint splits the varint at the front of b off it.
+func uvarint(b []byte) (uint64, []byte, error) {
+	v, k := binary.Uvarint(b)
+	switch {
+	case k == 0:
+		return 0, b, io.ErrUnexpectedEOF
+	case k < 0:
+		return 0, b, errVarintOverflow
 	}
-	if n > limit {
-		return limit
-	}
-	return n
+	return v, b[k:], nil
 }
 
-func clampCap64(n int64, limit int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > int64(limit) {
-		return limit
-	}
-	return int(n)
-}
+var errVarintOverflow = errors.New("varint overflows 64 bits")

@@ -222,7 +222,7 @@ func TestEvolveDirtySetsCoverChanges(t *testing.T) {
 			}
 			oldS, oldIn := inSchoolIdx(old)
 			newS, newIn := inSchoolIdx(p)
-			if (oldIn != newIn || oldS != newS) {
+			if oldIn != newIn || oldS != newS {
 				if oldIn && !dirtySchool[oldS] {
 					t.Fatalf("epoch %d: person %d left school index %d but school not dirty", e, p.ID, oldS)
 				}
@@ -232,7 +232,7 @@ func TestEvolveDirtySetsCoverChanges(t *testing.T) {
 			}
 			oldC, oldInC := inCityIdx(old)
 			newC, newInC := inCityIdx(p)
-			if (oldInC != newInC || oldC != newC) {
+			if oldInC != newInC || oldC != newC {
 				if oldInC && !dirtyCity[oldC] {
 					t.Fatalf("epoch %d: person %d left city list %q but city not dirty", e, p.ID, oldC)
 				}

@@ -2,8 +2,15 @@ package worldgen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+
+	"hsprofiler/internal/socialgraph"
 )
 
 // FuzzReadSnapshot hardens the binary loader against hostile or damaged
@@ -108,4 +115,90 @@ func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xFF
 	return out
+}
+
+// TestLyingLengthsBoundAllocation holds the decoder to the promise in
+// FuzzReadSnapshot: a length prefix that claims more than the input holds
+// fails with a typed error and drives no allocation beyond a small multiple
+// of the input, whether the snapshot comes from a reader or a file. The two
+// lies are a section header claiming 2^40 payload bytes and a graph payload,
+// with a valid checksum, claiming 2^37 edges.
+func TestLyingLengthsBoundAllocation(t *testing.T) {
+	w, err := GenerateParallel(TinyConfig(), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	const header = len("HSWB") + 1 // magic, one-byte version
+
+	// The first section's id, then its length varint: claim 2^40 bytes.
+	_, k := binary.Uvarint(valid[header+1:])
+	hugeSection := append(append(append([]byte(nil), valid[:header+1]...), binary.AppendUvarint(nil, 1<<40)...), valid[header+1+k:]...)
+
+	// Re-assemble the snapshot with the graph payload's edge count, which
+	// follows the ID-space varint and the present bitmap, rewritten.
+	hugeGraph := append([]byte(nil), valid[:header]...)
+	for rest := valid[header:]; len(rest) > 0; {
+		id, payload, next, err := splitSection(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = next
+		if id == secGraph {
+			n, k := binary.Uvarint(payload)
+			at := k + int(n+7)/8
+			_, users := binary.Uvarint(payload[at:])
+			_, edges := binary.Uvarint(payload[at+users:])
+			at += users
+			payload = append(binary.AppendUvarint(append([]byte(nil), payload[:at]...), 1<<37), payload[at+edges:]...)
+		}
+		hugeGraph = append(hugeGraph, id)
+		hugeGraph = binary.AppendUvarint(hugeGraph, uint64(len(payload)))
+		hugeGraph = append(hugeGraph, payload...)
+		hugeGraph = binary.LittleEndian.AppendUint32(hugeGraph, crc32.ChecksumIEEE(payload))
+	}
+
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		graph bool
+	}{
+		{"section claims 2^40 bytes", hugeSection, false},
+		{"graph claims 2^37 edges", hugeGraph, true},
+	} {
+		path := filepath.Join(dir, "lying.bin")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			read func() (*World, error)
+		}{
+			{"reader", func() (*World, error) { return ReadBinary(bytes.NewReader(tc.data)) }},
+			{"file", func() (*World, error) { return ReadSnapshotFile(path) }},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := src.read()
+			runtime.ReadMemStats(&after)
+			if err == nil || got != nil {
+				t.Fatalf("%s from %s: accepted", tc.name, src.name)
+			}
+			if !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("%s from %s: error not typed ErrSnapshot: %v", tc.name, src.name, err)
+			}
+			if tc.graph && !errors.Is(err, socialgraph.ErrCodec) {
+				t.Fatalf("%s from %s: lie not caught by the graph decoder: %v", tc.name, src.name, err)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			if limit := 16 * uint64(len(tc.data)); alloc > limit {
+				t.Fatalf("%s from %s: allocated %d bytes for %d input bytes, limit %d", tc.name, src.name, alloc, len(tc.data), limit)
+			}
+		}
+	}
 }

@@ -33,10 +33,12 @@ import (
 // surnames, city names and shared household addresses are stored once. The
 // graph section holds the socialgraph CSR codec bytes verbatim.
 //
-// Every length prefix is untrusted on read: buffers grow chunk by chunk as
-// bytes actually arrive, so a garbled header cannot drive allocation beyond
-// a small multiple of the real input, and any structural violation surfaces
-// as an error wrapping ErrSnapshot — never a panic.
+// A snapshot is decoded from one buffer holding all of it, and every length
+// prefix is untrusted: each is checked against the bytes actually present
+// before anything is allocated on its behalf, so a garbled header cannot
+// drive allocation beyond a small multiple of the real input, and any
+// structural violation surfaces as an error wrapping ErrSnapshot — never a
+// panic.
 
 // ErrSnapshot is wrapped by every binary snapshot decode error.
 var ErrSnapshot = errors.New("worldgen: malformed binary snapshot")
@@ -147,21 +149,30 @@ func (w *World) WriteBinary(out io.Writer) error {
 }
 
 // ReadBinary decodes a world written by WriteBinary and re-validates its
-// invariants. The returned world is frozen-only (Graph == nil): the CSR
-// snapshot is decoded directly, no mutable graph is rebuilt.
+// invariants. It reads all of in and decodes the bytes as ReadSnapshotFile
+// does. The returned world is frozen-only (Graph == nil): the CSR snapshot
+// is decoded directly, no mutable graph is rebuilt.
 func ReadBinary(in io.Reader) (*World, error) {
-	br := bufio.NewReaderSize(in, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", ErrSnapshot, err)
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrSnapshot, magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
+	data, err := io.ReadAll(in)
 	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrSnapshot, err)
+		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
 	}
+	return decodeBinary(data)
+}
+
+// decodeBinary decodes a complete binary snapshot. Each section is a
+// checksummed subslice of data, and every decoded value is a copy, so data
+// can be freed once this returns.
+func decodeBinary(data []byte) (*World, error) {
+	if len(data) < len(snapshotMagic) || [4]byte(data) != snapshotMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrSnapshot, data[:min(len(data), len(snapshotMagic))])
+	}
+	rest := data[len(snapshotMagic):]
+	version, k := binary.Uvarint(rest)
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: version: malformed varint", ErrSnapshot)
+	}
+	rest = rest[k:]
 	if version != binaryVersion {
 		return nil, fmt.Errorf("%w: version %d unsupported (reader handles %d)", ErrSnapshot, version, binaryVersion)
 	}
@@ -170,7 +181,7 @@ func ReadBinary(in io.Reader) (*World, error) {
 	var nPeople int
 
 	// meta
-	payload, err := readSection(br, secMeta)
+	payload, rest, err := nextSection(rest, secMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +206,7 @@ func ReadBinary(in io.Reader) (*World, error) {
 	nPeople = int(nPeople64)
 
 	// schools
-	if payload, err = readSection(br, secSchools); err != nil {
+	if payload, rest, err = nextSection(rest, secSchools); err != nil {
 		return nil, err
 	}
 	r = bytes.NewReader(payload)
@@ -229,12 +240,15 @@ func ReadBinary(in io.Reader) (*World, error) {
 	}
 
 	// people
-	if payload, err = readSection(br, secPeople); err != nil {
+	if payload, rest, err = nextSection(rest, secPeople); err != nil {
 		return nil, err
+	}
+	if nPeople > len(payload) { // each person costs ≥1 byte
+		return nil, fmt.Errorf("%w: %d people exceed the %d-byte section", ErrSnapshot, nPeople, len(payload))
 	}
 	r = bytes.NewReader(payload)
 	table := newStringTable()
-	w.People = make([]*Person, 0, clampCount(nPeople, 1<<16))
+	w.People = make([]*Person, 0, nPeople)
 	for i := 0; i < nPeople; i++ {
 		p, err := readPerson(r, table, i)
 		if err != nil {
@@ -247,16 +261,12 @@ func ReadBinary(in io.Reader) (*World, error) {
 	}
 
 	// graph
-	if payload, err = readSection(br, secGraph); err != nil {
+	if payload, rest, err = nextSection(rest, secGraph); err != nil {
 		return nil, err
 	}
-	r = bytes.NewReader(payload)
-	frozen, err := socialgraph.ReadFrozenBinary(r)
+	frozen, err := socialgraph.DecodeFrozen(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: graph: %v", ErrSnapshot, err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in graph section", ErrSnapshot, r.Len())
+		return nil, fmt.Errorf("%w: graph: %w", ErrSnapshot, err)
 	}
 	if frozen.NumIDs() > nPeople {
 		return nil, fmt.Errorf("%w: graph spans %d IDs, world has %d people", ErrSnapshot, frozen.NumIDs(), nPeople)
@@ -271,8 +281,8 @@ func ReadBinary(in io.Reader) (*World, error) {
 	// Tolerate (skip) unknown sections before the terminator: the additive
 	// forward-compatibility path.
 	for {
-		id, payload, err := readAnySection(br)
-		if err != nil {
+		var id byte
+		if id, payload, rest, err = splitSection(rest); err != nil {
 			return nil, err
 		}
 		if id == secEnd {
@@ -281,6 +291,9 @@ func ReadBinary(in io.Reader) (*World, error) {
 			}
 			break
 		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after end section", ErrSnapshot, len(rest))
 	}
 
 	if err := w.CheckInvariants(); err != nil {
@@ -323,50 +336,41 @@ func writeSection(bw *bufio.Writer, id byte, payload *bytes.Buffer) error {
 	return nil
 }
 
-// readAnySection reads the next section, verifying its checksum. The
-// payload buffer grows chunkwise so a lying length costs only real bytes.
-func readAnySection(br *bufio.Reader) (byte, []byte, error) {
-	id, err := br.ReadByte()
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: section id: %v", ErrSnapshot, err)
+// splitSection splits the next section off data. It checks the declared
+// payload length against the bytes present and the payload against its
+// checksum, and returns the payload as a subslice of data, capped so no
+// append can reach past it, and the bytes after the section.
+func splitSection(data []byte) (id byte, payload, rest []byte, err error) {
+	if len(data) == 0 {
+		return 0, nil, nil, fmt.Errorf("%w: section id: %v", ErrSnapshot, io.ErrUnexpectedEOF)
 	}
-	length, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: section %#x length: %v", ErrSnapshot, id, err)
+	id = data[0]
+	length, k := binary.Uvarint(data[1:])
+	if k <= 0 {
+		return 0, nil, nil, fmt.Errorf("%w: section %#x length: malformed varint", ErrSnapshot, id)
 	}
-	payload := make([]byte, 0, clampCount(int(length&0xFFFF), 1<<16))
-	var chunk [1 << 14]byte
-	for got := uint64(0); got < length; {
-		want := length - got
-		if want > uint64(len(chunk)) {
-			want = uint64(len(chunk))
-		}
-		if _, err := io.ReadFull(br, chunk[:want]); err != nil {
-			return 0, nil, fmt.Errorf("%w: section %#x body: %v", ErrSnapshot, id, err)
-		}
-		payload = append(payload, chunk[:want]...)
-		got += want
+	body := data[1+k:]
+	if length > uint64(len(body)) || uint64(len(body))-length < crc32.Size {
+		return 0, nil, nil, fmt.Errorf("%w: section %#x declares %d bytes, %d present with its checksum", ErrSnapshot, id, length, len(body))
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: section %#x checksum: %v", ErrSnapshot, id, err)
+	payload = body[:length:length]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(body[length:]) {
+		return 0, nil, nil, fmt.Errorf("%w: section %#x checksum mismatch", ErrSnapshot, id)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc[:]) {
-		return 0, nil, fmt.Errorf("%w: section %#x checksum mismatch", ErrSnapshot, id)
-	}
-	return id, payload, nil
+	return id, payload, body[length+crc32.Size:], nil
 }
 
-// readSection reads the next section and requires it to carry the given id.
-func readSection(br *bufio.Reader, want byte) ([]byte, error) {
-	id, payload, err := readAnySection(br)
+// nextSection splits the next section off data and requires it to carry the
+// given id.
+func nextSection(data []byte, want byte) (payload, rest []byte, err error) {
+	id, payload, rest, err := splitSection(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if id != want {
-		return nil, fmt.Errorf("%w: section %#x where %#x expected", ErrSnapshot, id, want)
+		return nil, nil, fmt.Errorf("%w: section %#x where %#x expected", ErrSnapshot, id, want)
 	}
-	return payload, nil
+	return payload, rest, nil
 }
 
 // --- primitive codecs ---
@@ -623,15 +627,4 @@ func readPerson(r *bytes.Reader, table *stringTable, i int) (*Person, error) {
 		p.ChildIDs = append(p.ChildIDs, socialgraph.UserID(c))
 	}
 	return p, nil
-}
-
-// clampCount caps an untrusted size claim used as an initial capacity.
-func clampCount(n, limit int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > limit {
-		return limit
-	}
-	return n
 }

@@ -1,7 +1,7 @@
 package worldgen
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -58,29 +58,43 @@ func (w *World) WriteFile(path, format string) error {
 	return nil
 }
 
-// ReadAuto reads a snapshot in either format, sniffing the binary magic.
-func ReadAuto(in io.Reader) (*World, error) {
-	br := bufio.NewReaderSize(in, 1<<16)
-	head, err := br.Peek(len(snapshotMagic))
-	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
-	}
-	if len(head) == len(snapshotMagic) && [4]byte(head) == snapshotMagic {
-		return ReadBinary(br)
-	}
-	return ReadJSON(br)
-}
-
-// ReadSnapshotFile loads a world snapshot from path in either format.
+// ReadSnapshotFile loads a world snapshot from path in either format,
+// sniffing the binary magic. A binary snapshot is read whole into one
+// buffer sized from the file's length and decoded in place; JSON streams
+// through ReadJSON.
 func ReadSnapshotFile(path string) (*World, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("worldgen: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	w, err := ReadAuto(f)
+	w, err := readSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("worldgen: loading %s: %w", path, err)
 	}
 	return w, nil
+}
+
+func readSnapshot(f *os.File) (*World, error) {
+	var head [len(snapshotMagic)]byte
+	n, err := io.ReadFull(f, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
+	}
+	if head != snapshotMagic {
+		return ReadJSON(io.MultiReader(bytes.NewReader(head[:n]), f))
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
+	}
+	// Sized to the whole file plus the room ReadFrom wants free before its
+	// final, empty read, so the buffer never grows (a pipe reports size 0
+	// and grows as it must).
+	buf := bytes.NewBuffer(make([]byte, 0, st.Size()+bytes.MinRead))
+	buf.Write(head[:])
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
+	}
+	return decodeBinary(buf.Bytes())
 }
