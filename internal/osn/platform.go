@@ -666,7 +666,7 @@ func (p *Platform) profile(e *epoch, token string, id PublicID) (*PublicProfile,
 // own friend lists are hidden are omitted — they become undiscoverable by
 // reverse lookup. The page is rendered on the fly from the epoch's CSR row
 // into a fresh slice; hot loops that need a zero-allocation read path use
-// FriendPageInto with a reused buffer.
+// FriendPageInto with a reused buffer, or FriendPageFunc.
 func (p *Platform) FriendPage(token string, id PublicID, page int) (friends []FriendRef, more bool, err error) {
 	friends, more, _, err = p.FriendPageEpoch(token, id, page)
 	return friends, more, err
@@ -676,26 +676,34 @@ func (p *Platform) FriendPage(token string, id PublicID, page int) (friends []Fr
 // the buffer's capacity covers a full page, so a caller that feeds each
 // returned slice back in allocates nothing on the steady-state read path.
 func (p *Platform) FriendPageInto(buf []FriendRef, token string, id PublicID, page int) (friends []FriendRef, more bool, err error) {
-	e := p.pin()
-	defer p.unpin(e)
-	return p.friendPage(e, buf, token, id, page)
+	friends = buf[:0]
+	more, _, err = p.FriendPageFunc(token, id, page, func(f FriendRef) { friends = append(friends, f) })
+	if err != nil {
+		return nil, false, err
+	}
+	return friends, more, nil
 }
 
 // FriendPageEpoch is FriendPage plus the serving epoch's id. A crawler that
 // walks a friend list across pages can detect an epoch boundary by the id
 // changing between pages.
 func (p *Platform) FriendPageEpoch(token string, id PublicID, page int) (friends []FriendRef, more bool, epochID uint64, err error) {
-	return p.FriendPageEpochInto(nil, token, id, page)
+	more, epochID, err = p.FriendPageFunc(token, id, page, func(f FriendRef) { friends = append(friends, f) })
+	if err != nil {
+		return nil, false, epochID, err
+	}
+	return friends, more, epochID, nil
 }
 
-// FriendPageEpochInto is FriendPageEpoch appending into buf[:0] — the
-// zero-allocation variant for callers that reuse the returned slice's
-// backing array (see FriendPageInto).
-func (p *Platform) FriendPageEpochInto(buf []FriendRef, token string, id PublicID, page int) (friends []FriendRef, more bool, epochID uint64, err error) {
+// FriendPageFunc is FriendPageEpoch handing each entry of the page to emit,
+// in order, while the serving epoch is pinned, instead of collecting them:
+// a caller that writes the entries straight into its own buffer (the wire
+// encoders) reads a friend page without allocating.
+func (p *Platform) FriendPageFunc(token string, id PublicID, page int, emit func(FriendRef)) (more bool, epochID uint64, err error) {
 	e := p.pin()
 	defer p.unpin(e)
-	friends, more, err = p.friendPage(e, buf, token, id, page)
-	return friends, more, e.seq, err
+	more, err = p.friendPage(e, token, id, page, emit)
+	return more, e.seq, err
 }
 
 // friendPage renders one page of u's friend list straight from the frozen
@@ -704,40 +712,39 @@ func (p *Platform) FriendPageEpochInto(buf []FriendRef, token string, id PublicI
 // That keeps an epoch's footprint at two deltas instead of a
 // refs-per-edge array, and makes epoch advance independent of friend-list
 // state entirely: patching the CSR row IS the friend-list update.
-func (p *Platform) friendPage(e *epoch, buf []FriendRef, token string, id PublicID, page int) (friends []FriendRef, more bool, err error) {
+func (p *Platform) friendPage(e *epoch, token string, id PublicID, page int, emit func(FriendRef)) (more bool, err error) {
 	if err := p.charge(token); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	p.readReq.Inc()
 	if page < 0 {
-		return nil, false, fmt.Errorf("osn: negative page")
+		return false, fmt.Errorf("osn: negative page")
 	}
 	u, ok := p.byPub[id]
 	if !ok {
 		p.lg.Debug(context.Background(), "osn.gate", "friend list not found", evlog.Str("id", string(id)))
-		return nil, false, ErrNotFound
+		return false, ErrNotFound
 	}
 	if !e.read.friendVisible[u] {
 		p.lg.Debug(context.Background(), "osn.gate", "friend list hidden", evlog.Str("id", string(id)))
-		return nil, false, ErrHidden
+		return false, ErrHidden
 	}
 	p.tel.RecordFriendPage(token, string(id), page)
 	row := e.read.frozen.Friends(u)
 	start := page * p.cfg.FriendPageSize
 	end := start + p.cfg.FriendPageSize
-	out := buf[:0]
 	if e.policy.HiddenListsInReverseLookup {
 		// No entry filtering: the page is direct index math over the row.
 		if start >= len(row) {
-			return out, false, nil
+			return false, nil
 		}
 		if end > len(row) {
 			end = len(row)
 		}
 		for _, f := range row[start:end] {
-			out = append(out, FriendRef{ID: p.pub[f], Name: e.read.names[f]})
+			emit(FriendRef{ID: p.pub[f], Name: e.read.names[f]})
 		}
-		return out, end < len(row), nil
+		return end < len(row), nil
 	}
 	// §8 countermeasure: skip-scan the row counting only entries whose own
 	// lists are visible; stop as soon as one entry past the page proves
@@ -749,12 +756,12 @@ func (p *Platform) friendPage(e *epoch, buf []FriendRef, token string, id Public
 			continue
 		}
 		if n >= end {
-			return out, true, nil
+			return true, nil
 		}
 		if n >= start {
-			out = append(out, FriendRef{ID: p.pub[f], Name: e.read.names[f]})
+			emit(FriendRef{ID: p.pub[f], Name: e.read.names[f]})
 		}
 		n++
 	}
-	return out, false, nil
+	return false, nil
 }

@@ -1,10 +1,9 @@
 package osnhttp
 
 import (
-	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"hsprofiler/internal/osn"
@@ -14,8 +13,9 @@ import (
 // The versioned JSON wire API. The HTML endpoints exist because the paper's
 // crawlers scraped HTML; production serving wants a machine-readable surface
 // with the same semantics. /api/v1 serves exactly the stranger-visible views
-// the HTML templates render, backed by the same frozen read plane, under a
-// stability contract (see DESIGN.md "Wire protocol"):
+// the HTML pages render, through the same router, request parser and
+// encoder, backed by the same frozen read plane, under a stability contract
+// (see DESIGN.md "Wire protocol"):
 //
 //	GET  /api/v1/schools                      {"n":2,"schools":[{"id":0,"name":..,"city":..}]}
 //	GET  /api/v1/search?school=N&page=P&acct= {"n":40,"results":[{"id":..,"name":..}],"more":true}
@@ -29,23 +29,23 @@ import (
 //
 //	{"error":{"code":"throttled","message":"osn: rate limited, retry later"}}
 //
-// Steady-state GET handlers are allocation-free: routing and query parsing
-// slice the request strings in place, responses are rendered into pooled
-// byte buffers, and every body row references the read plane's interned
-// strings. The list containers carry an "n" row count so clients can detect
-// damaged bodies the way the HTML parser's checkRows does.
+// Steady-state GET handlers are allocation-free on both wires: routing and
+// query parsing slice the request strings in place, responses are written
+// into pooled byte buffers, and every body row references the read plane's
+// interned strings. The list containers carry an "n" row count so clients
+// can detect damaged bodies the way the HTML parser's checkRows does.
 const apiPrefix = "/api/v1/"
 
-// Pre-allocated header values: assigning a shared slice into the header map
-// avoids the per-request []string allocation http.Header.Set would make.
-var (
-	ctJSON      = []string{"application/json; charset=utf-8"}
-	retryAfter1 = []string{"1"}
-)
+var ctJSON = []string{"application/json; charset=utf-8"}
 
-// enc renders one JSON response body into a pooled buffer. It is not a
-// general JSON encoder: it appends exactly the shapes the API serves,
-// escaping only what RFC 8259 requires.
+// enc renders one response body, HTML or JSON, into a pooled buffer. It
+// is not a general encoder: it appends exactly the pages and shapes the
+// wires serve, escaping what html/template (html.go) and RFC 8259 require.
+//
+// The pool is the buffer's one owner. A per-connection buffer installed
+// through http.Server.ConnContext would reach only servers built with that
+// hook, and cmd/bench and httptest build their own http.Server around the
+// handler, so they would need a second path.
 type enc struct{ b []byte }
 
 var encPool = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 8<<10)} }}
@@ -134,7 +134,7 @@ func (e *enc) fieldBool(name string, v bool) {
 	e.bool(v)
 }
 
-// pad2/pad4 append zero-padded date components.
+// pad appends a zero-padded date component.
 func (e *enc) pad(n, width int) {
 	var tmp [8]byte
 	i := len(tmp)
@@ -156,107 +156,24 @@ func (e *enc) pad(n, width int) {
 	e.b = append(e.b, tmp[i:]...)
 }
 
-func (e *enc) date(d sim.Date) {
-	e.b = append(e.b, '"')
+// dateDigits appends YYYY-MM-DD.
+func (e *enc) dateDigits(d sim.Date) {
 	e.pad(d.Year, 4)
 	e.b = append(e.b, '-')
 	e.pad(int(d.Month), 2)
 	e.b = append(e.b, '-')
 	e.pad(d.Day, 2)
-	e.b = append(e.b, '"')
 }
 
-// flush writes the buffer as the response body. code 0 means 200.
-func (e *enc) flush(w http.ResponseWriter, code int) {
-	w.Header()["Content-Type"] = ctJSON
-	if code != 0 && code != http.StatusOK {
-		w.WriteHeader(code)
-	}
+// flush writes the buffer as a 200 response body of content type ct.
+func (e *enc) flush(w http.ResponseWriter, ct []string) {
+	w.Header()["Content-Type"] = ct
 	w.Write(e.b)
 }
 
-// queryParam extracts the raw value of key from a raw query string without
-// allocating: values are substrings of the request URL. Percent- or
-// plus-encoded values (city names with spaces) take a decode allocation —
-// ids, tokens and page numbers never need one.
-func queryParam(raw, key string) string {
-	for len(raw) > 0 {
-		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 || pair[:eq] != key {
-			continue
-		}
-		v := pair[eq+1:]
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-			if u, err := unescapeQuery(v); err == nil {
-				return u
-			}
-		}
-		return v
-	}
-	return ""
-}
-
-// unescapeQuery is url.QueryUnescape plus '+' handling, split out so the
-// common unescaped path above stays allocation-free.
-func unescapeQuery(v string) (string, error) {
-	b := make([]byte, 0, len(v))
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '+':
-			b = append(b, ' ')
-		case '%':
-			if i+2 >= len(v) {
-				return "", fmt.Errorf("osnhttp: truncated escape in %q", v)
-			}
-			hi := unhex(v[i+1])
-			lo := unhex(v[i+2])
-			if hi < 0 || lo < 0 {
-				return "", fmt.Errorf("osnhttp: bad escape in %q", v)
-			}
-			b = append(b, byte(hi<<4|lo))
-			i += 2
-		default:
-			b = append(b, c)
-		}
-	}
-	return string(b), nil
-}
-
-func unhex(c byte) int {
-	switch {
-	case '0' <= c && c <= '9':
-		return int(c - '0')
-	case 'a' <= c && c <= 'f':
-		return int(c-'a') + 10
-	case 'A' <= c && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
-}
-
-// queryInt parses an integer query parameter; absent returns (0, true) so
-// page defaults to 0 like the HTML handlers' strconv.Atoi(q.Get("page")).
-func queryInt(raw, key string) (int, bool) {
-	v := queryParam(raw, key)
-	if v == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
 // apiCode maps a platform error to its HTTP status and wire error code. The
-// status mapping matches httpStatus exactly, so both surfaces agree; the
-// code string is the machine-readable half of the envelope.
+// status is httpStatus's, so both wires agree; the code string is the
+// machine-readable half of the envelope.
 func apiCode(err error) (int, string) {
 	switch code := httpStatus(err); code {
 	case http.StatusUnauthorized:
@@ -292,79 +209,17 @@ func apiError(w http.ResponseWriter, r *http.Request, code int, codeStr, msg str
 		e.str(id)
 	}
 	e.raw(`}`)
+	h := w.Header()
+	h["Content-Type"] = ctJSON
 	if code == http.StatusServiceUnavailable {
-		w.Header()["Retry-After"] = retryAfter1
+		h["Retry-After"] = retryAfter1
 	}
-	e.flush(w, code)
+	w.WriteHeader(code)
+	w.Write(e.b)
 	putEnc(e)
 }
 
-// apiFail maps a platform error onto the envelope.
-func apiFail(w http.ResponseWriter, r *http.Request, err error) {
-	code, codeStr := apiCode(err)
-	apiError(w, r, code, codeStr, err.Error())
-}
-
-// serveAPI routes /api/v1/ requests. Routing is by hand — prefix slicing
-// rather than ServeMux patterns — because wildcard matching allocates the
-// match slice on every request and these handlers hold the platform's
-// zero-allocation serving guarantee.
-func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
-	rest := r.URL.Path[len(apiPrefix):]
-	if rest == "register" {
-		if r.Method != http.MethodPost {
-			apiError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "register is POST-only")
-			return
-		}
-		s.apiRegister(w, r)
-		return
-	}
-	if r.Method != http.MethodGet {
-		apiError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "API endpoints are GET-only")
-		return
-	}
-	switch {
-	case rest == "schools":
-		s.apiSchools(w)
-	case rest == "search":
-		s.apiSearch(w, r)
-	case strings.HasPrefix(rest, "profile/"):
-		s.apiProfile(w, r, rest[len("profile/"):])
-	case strings.HasPrefix(rest, "friends/"):
-		s.apiFriends(w, r, rest[len("friends/"):])
-	case strings.HasPrefix(rest, "admin/"):
-		s.serveAdmin(w, r, rest[len("admin/"):])
-	default:
-		apiError(w, r, http.StatusNotFound, "not_found", "unknown API route")
-	}
-}
-
-func (s *Server) apiRegister(w http.ResponseWriter, r *http.Request) {
-	if err := r.ParseForm(); err != nil {
-		apiError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	var birth sim.Date
-	if _, err := fmt.Sscanf(r.PostFormValue("birth"), "%d-%d-%d", &birth.Year, &birth.Month, &birth.Day); err != nil {
-		apiError(w, r, http.StatusBadRequest, "bad_request", "birth must be YYYY-MM-DD")
-		return
-	}
-	token, err := s.platform.RegisterAccount(r.PostFormValue("name"), birth)
-	if err != nil {
-		apiFail(w, r, err)
-		return
-	}
-	e := getEnc()
-	e.raw(`{"token":`)
-	e.str(token)
-	e.raw(`}`)
-	e.flush(w, 0)
-	putEnc(e)
-}
-
-func (s *Server) apiSchools(w http.ResponseWriter) {
-	schools := s.platform.Schools()
-	e := getEnc()
+func (e *enc) jsonSchools(schools []osn.SchoolRef, epoch uint64) {
 	e.raw(`{"n":`)
 	e.int(len(schools))
 	e.raw(`,"schools":[`)
@@ -377,112 +232,46 @@ func (s *Server) apiSchools(w http.ResponseWriter) {
 		e.raw(`}`)
 	}
 	e.raw(`],"epoch":`)
-	e.epoch(s.platform.EpochSeq())
+	e.epoch(epoch)
 	e.raw(`}`)
-	e.flush(w, 0)
-	putEnc(e)
 }
 
-// idName is the shared underlying shape of osn.SearchResult and
-// osn.FriendRef; writeResultPage renders one page of either — the wire
-// container key ("results" vs "friends") is the only difference.
-type idName = struct {
-	ID   osn.PublicID
-	Name string
+// jsonRow appends one search result or friend entry.
+func (e *enc) jsonRow(id osn.PublicID, name string) {
+	e.raw(`{"id":`)
+	e.str(string(id))
+	e.field("name", name)
+	e.raw(`}`)
 }
 
-func writeResultPage[T ~struct {
-	ID   osn.PublicID
-	Name string
-}](w http.ResponseWriter, key string, rows []T, more bool, epoch uint64) {
-	e := getEnc()
+// jsonList wraps the n rows appended since mark into a list body:
+// {"n":N,"<key>":[rows],"more":B,"epoch":E}. A friend page's rows stream
+// out of the CSR row before their count is known, so the head is appended
+// after them and rotated into place.
+func (e *enc) jsonList(mark, n int, key string, more bool, epoch uint64) {
+	rows := len(e.b) - mark
 	e.raw(`{"n":`)
-	e.int(len(rows))
+	e.int(n)
 	e.raw(`,"`)
 	e.raw(key)
 	e.raw(`":[`)
-	for i, row := range rows {
-		rr := idName(row)
-		e.sep(i)
-		e.raw(`{"id":`)
-		e.str(string(rr.ID))
-		e.field("name", rr.Name)
-		e.raw(`}`)
-	}
+	body := e.b[mark:]
+	slices.Reverse(body[:rows])
+	slices.Reverse(body[rows:])
+	slices.Reverse(body)
 	e.raw(`],"more":`)
 	e.bool(more)
 	e.raw(`,"epoch":`)
 	e.epoch(epoch)
 	e.raw(`}`)
-	e.flush(w, 0)
-	putEnc(e)
 }
 
-func (s *Server) apiSearch(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.RawQuery
-	acct := queryParam(raw, "acct")
-	page, ok := queryInt(raw, "page")
-	if !ok || page < 0 {
-		apiError(w, r, http.StatusBadRequest, "bad_request", "page must be a non-negative integer")
-		return
-	}
-	var (
-		results []osn.SearchResult
-		more    bool
-		epoch   uint64
-		err     error
-	)
-	city := queryParam(raw, "city")
-	switch {
-	case queryParam(raw, "graph") == "1":
-		school, ok := queryInt(raw, "school")
-		if !ok {
-			apiError(w, r, http.StatusBadRequest, "bad_request", "school must be a numeric id")
-			return
-		}
-		after, okA := queryInt(raw, "after")
-		before, okB := queryInt(raw, "before")
-		if !okA || !okB {
-			apiError(w, r, http.StatusBadRequest, "bad_request", "after/before must be numeric years")
-			return
-		}
-		results, more, epoch, err = s.platform.GraphSearchEpoch(acct, osn.GraphQuery{
-			SchoolID:        school,
-			CurrentStudents: queryParam(raw, "current") == "1",
-			GradYearAfter:   after,
-			GradYearBefore:  before,
-			City:            city,
-		}, page)
-	case city != "" && queryParam(raw, "school") == "":
-		results, more, epoch, err = s.platform.CitySearchEpoch(acct, city, page)
-	default:
-		v := queryParam(raw, "school")
-		school, aerr := strconv.Atoi(v)
-		if aerr != nil {
-			apiError(w, r, http.StatusBadRequest, "bad_request", "school must be a numeric id")
-			return
-		}
-		results, more, epoch, err = s.platform.SchoolSearchEpoch(acct, school, page)
-	}
-	if err != nil {
-		apiFail(w, r, err)
-		return
-	}
-	writeResultPage(w, "results", results, more, epoch)
-}
-
-func (s *Server) apiProfile(w http.ResponseWriter, r *http.Request, id string) {
-	pp, epoch, err := s.platform.ProfileEpoch(queryParam(r.URL.RawQuery, "acct"), osn.PublicID(id))
-	if err != nil {
-		apiFail(w, r, err)
-		return
-	}
-	e := getEnc()
+func (e *enc) jsonProfile(pp *osn.PublicProfile, epoch uint64) {
 	e.raw(`{"profile":{"id":`)
 	e.str(string(pp.ID))
 	e.field("name", pp.Name)
 	// Hidden attributes are absent, not zero-valued: the wire schema
-	// mirrors the HTML templates' conditional sections, and the client
+	// mirrors the HTML page's optional sections, and the client
 	// reconstructs the identical osn.PublicProfile from what is present.
 	if pp.HasPhoto {
 		e.fieldBool("has_photo", true)
@@ -509,8 +298,9 @@ func (s *Server) apiProfile(w http.ResponseWriter, r *http.Request, id string) {
 		e.fieldBool("interested_in", true)
 	}
 	if pp.Birthday != nil {
-		e.raw(`,"birthday":`)
-		e.date(*pp.Birthday)
+		e.raw(`,"birthday":"`)
+		e.dateDigits(*pp.Birthday)
+		e.raw(`"`)
 	}
 	if pp.Hometown != "" {
 		e.field("hometown", pp.Hometown)
@@ -536,47 +326,4 @@ func (s *Server) apiProfile(w http.ResponseWriter, r *http.Request, id string) {
 	e.raw(`},"epoch":`)
 	e.epoch(epoch)
 	e.raw(`}`)
-	e.flush(w, 0)
-	putEnc(e)
-}
-
-// friendBufPool recycles page-render buffers across requests: the platform
-// renders friend pages on the fly from the CSR row, and appending into a
-// pooled buffer keeps the handler allocation-free.
-var friendBufPool = sync.Pool{New: func() any { return new([]osn.FriendRef) }}
-
-func (s *Server) apiFriends(w http.ResponseWriter, r *http.Request, id string) {
-	raw := r.URL.RawQuery
-	page, ok := queryInt(raw, "page")
-	if !ok || page < 0 {
-		apiError(w, r, http.StatusBadRequest, "bad_request", "page must be a non-negative integer")
-		return
-	}
-	bufp := friendBufPool.Get().(*[]osn.FriendRef)
-	friends, more, epoch, err := s.platform.FriendPageEpochInto(*bufp, queryParam(raw, "acct"), osn.PublicID(id), page)
-	if friends != nil {
-		*bufp = friends[:0] // keep the grown backing array
-	}
-	if err != nil {
-		friendBufPool.Put(bufp)
-		apiFail(w, r, err)
-		return
-	}
-	writeResultPage(w, "friends", friends, more, epoch)
-	friendBufPool.Put(bufp)
-}
-
-// handleHealthz serves the load-balancer probe on the main listener: a
-// deployment should not need -metrics-addr to know the process is alive.
-// The epoch id makes the probe double as the rotation watchdog — a healthy
-// -evolve deployment shows it increasing.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	e := getEnc()
-	e.raw(`{"status":"ok","inflight":`)
-	e.int(int(s.inflight.Load()))
-	e.raw(`,"epoch":`)
-	e.epoch(s.platform.EpochSeq())
-	e.raw(`}`)
-	e.flush(w, 0)
-	putEnc(e)
 }

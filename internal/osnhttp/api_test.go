@@ -171,9 +171,10 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullWriter) WriteHeader(int)             {}
 
-// apiSteadyRequests builds the steady-state request set against real IDs:
-// one search page, one profile, one friend page.
-func apiSteadyRequests(t testing.TB, p *osn.Platform) (*Server, []*http.Request) {
+// steadyRequests builds the steady-state request set against real IDs on
+// both wires: one school-search page, one profile and one friend page
+// each, plus the health probe on the JSON list.
+func steadyRequests(t testing.TB, p *osn.Platform) (s *Server, api, html []*http.Request) {
 	t.Helper()
 	tok, err := p.RegisterAccount("alloc-probe", mustDate(1985, 1, 1))
 	if err != nil {
@@ -196,20 +197,26 @@ func apiSteadyRequests(t testing.TB, p *osn.Platform) (*Server, []*http.Request)
 		}
 	}
 	esc := url.QueryEscape(tok)
-	reqs := []*http.Request{
+	api = []*http.Request{
 		httptest.NewRequest("GET", "/api/v1/search?school=0&page=0&acct="+esc, nil),
 		httptest.NewRequest("GET", "/api/v1/profile/"+string(res[0].ID)+"?acct="+esc, nil),
 		httptest.NewRequest("GET", "/api/v1/friends/"+string(target)+"?page=0&acct="+esc, nil),
 		httptest.NewRequest("GET", "/healthz", nil),
 	}
-	return NewServer(p), reqs
+	html = []*http.Request{
+		httptest.NewRequest("GET", "/find-friends?school=0&page=0&acct="+esc, nil),
+		httptest.NewRequest("GET", "/profile/"+string(res[0].ID)+"?acct="+esc, nil),
+		httptest.NewRequest("GET", "/friends/"+string(target)+"?page=0&acct="+esc, nil),
+	}
+	return NewServer(p), api, html
 }
 
 // TestAPIZeroAlloc is the serving-plane allocation guard: with metrics and
-// logging off, the steady-state JSON handlers (search page, profile,
-// friend page, health probe) must not allocate at all. Routing, query
-// parsing, encoding and the platform read plane all ride pooled or
-// interned memory; a regression here is a performance bug by definition.
+// logging off, the steady-state read handlers of both wires (search page,
+// profile, friend page, and the health probe) must not allocate at all.
+// Routing, query parsing, page writing and the platform read plane all
+// ride pooled or interned memory; a regression here is a performance bug
+// by definition.
 func TestAPIZeroAlloc(t *testing.T) {
 	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
 	if err != nil {
@@ -221,7 +228,8 @@ func TestAPIZeroAlloc(t *testing.T) {
 	// same zero-allocation bar as the handlers it instruments. The warmup
 	// pass absorbs the one-time per-account state allocation.
 	p.WithTelemetry(telemetry.NewTable(time.Hour))
-	s, reqs := apiSteadyRequests(t, p)
+	s, api, html := steadyRequests(t, p)
+	reqs := append(api, html...)
 	// WithLimits on: the limiter path must stay allocation-free too.
 	s.WithLimits(64, 64, 64)
 	wr := &nullWriter{h: make(http.Header)}
@@ -239,16 +247,62 @@ func TestAPIZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSearchAllocsSameOnBothWires: city and graph search allocate in the
+// platform read (the city view's cache key, the graph-search match list),
+// so they are outside the zero bar; the wire must add nothing to it. The
+// HTML and JSON handlers share the router, parser and platform call, so
+// they must allocate exactly as often.
+func TestSearchAllocsSameOnBothWires(t *testing.T) {
+	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := osn.NewPlatform(w, osn.Facebook(), osn.Config{SearchPageSize: 5})
+	s := NewServer(p)
+	tok, err := p.RegisterAccount("alloc-probe", mustDate(1985, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := "&acct=" + url.QueryEscape(tok)
+	city := url.QueryEscape(w.Schools[0].City)
+	pairs := [][2]string{
+		{"/city-search?city=" + city + "&page=1" + acct, "/api/v1/search?city=" + city + "&page=1" + acct},
+		{"/graph-search?school=0&current=1&page=1" + acct, "/api/v1/search?graph=1&school=0&current=1&page=1" + acct},
+	}
+	wr := &nullWriter{h: make(http.Header)}
+	for _, pair := range pairs {
+		var allocs [2]float64
+		for i, path := range pair {
+			r := httptest.NewRequest("GET", path, nil)
+			s.ServeHTTP(wr, r)
+			allocs[i] = testing.AllocsPerRun(100, func() { s.ServeHTTP(wr, r) })
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocs/op, %s: %v", pair[0], allocs[0], pair[1], allocs[1])
+		}
+		t.Logf("%s: %v allocs/op on both wires", pair[0], allocs[0])
+	}
+}
+
 // BenchmarkJSONAPIServe measures the uninstrumented JSON serving path over
-// the steady-state mix; the bench smoke in CI keeps it compiling and the
-// committed baseline tracks its allocation-free claim.
+// the steady-state mix.
 func BenchmarkJSONAPIServe(b *testing.B) {
+	benchmarkServe(b, func(api, _ []*http.Request) []*http.Request { return api })
+}
+
+// BenchmarkHTMLServe is BenchmarkJSONAPIServe over the HTML pages.
+func BenchmarkHTMLServe(b *testing.B) {
+	benchmarkServe(b, func(_, html []*http.Request) []*http.Request { return html })
+}
+
+func benchmarkServe(b *testing.B, pick func(api, html []*http.Request) []*http.Request) {
 	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := osn.NewPlatform(w, osn.Facebook(), osn.Config{})
-	s, reqs := apiSteadyRequests(b, p)
+	s, api, html := steadyRequests(b, p)
+	reqs := pick(api, html)
 	wr := &nullWriter{h: make(http.Header)}
 	for _, r := range reqs {
 		s.ServeHTTP(wr, r)

@@ -96,7 +96,7 @@ func TestLimiterShedsOverCap(t *testing.T) {
 	}
 
 	// Hold the only search slot, as a slow in-handler request would.
-	s.limits.search <- struct{}{}
+	s.limits[famSearch] <- struct{}{}
 	_, _, err = c.Search(0, 0, 0)
 	if !errors.Is(err, osn.ErrThrottled) {
 		t.Fatalf("saturated search = %v, want ErrThrottled (overload shed)", err)
@@ -127,7 +127,7 @@ func TestLimiterShedsOverCap(t *testing.T) {
 	}
 
 	// Release the slot: the family serves again.
-	<-s.limits.search
+	<-s.limits[famSearch]
 	if _, _, err := c.Search(0, 0, 0); err != nil {
 		t.Fatalf("post-release search: %v", err)
 	}

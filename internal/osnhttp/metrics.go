@@ -3,39 +3,10 @@ package osnhttp
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"hsprofiler/internal/obs"
 )
-
-// endpoints are the label values requests are attributed to — one per route
-// family, with path parameters (profile/friend ids, pages) folded away so
-// the label set stays bounded no matter how large the crawled graph is.
-var endpoints = []string{"register", "schools", "search", "profile", "friendlist", "healthz", "other"}
-
-// endpointName folds a request path onto its endpoint label. The JSON
-// routes fold onto the same families as their HTML counterparts so
-// dashboards see one series per logical endpoint regardless of wire.
-func endpointName(path string) string {
-	path = strings.TrimPrefix(path, apiPrefix[:len(apiPrefix)-1])
-	seg := strings.TrimPrefix(path, "/")
-	if i := strings.IndexByte(seg, '/'); i >= 0 {
-		seg = seg[:i]
-	}
-	switch seg {
-	case "register", "schools", "healthz":
-		return seg
-	case "find-friends", "graph-search", "city-search", "search":
-		return "search"
-	case "profile":
-		return "profile"
-	case "friends":
-		return "friendlist"
-	default:
-		return "other"
-	}
-}
 
 // serverMetrics is the platform-side request accounting: volume and latency
 // per endpoint, plus the two series the paper's crawl economics turn on —
@@ -43,7 +14,7 @@ func endpointName(path string) string {
 // account (429). A nil *serverMetrics makes every method a no-op.
 type serverMetrics struct {
 	reg         *obs.Registry
-	latency     map[string]*obs.Histogram
+	latency     [numFamilies]*obs.Histogram
 	throttled   *obs.Counter
 	suspensions *obs.Counter
 	shed        *obs.Counter
@@ -70,11 +41,11 @@ func (s *Server) Instrument(reg *obs.Registry) *Server {
 	if reg == nil {
 		return s
 	}
-	m := &serverMetrics{reg: reg, latency: make(map[string]*obs.Histogram)}
-	for _, ep := range endpoints {
+	m := &serverMetrics{reg: reg}
+	for fam, ep := range familyLabels {
 		reg.Counter("osn_http_requests_total", helpHTTPRequests,
 			obs.L("endpoint", ep), obs.L("code", "200"))
-		m.latency[ep] = reg.Histogram("osn_http_request_seconds", helpHTTPLatency, nil,
+		m.latency[fam] = reg.Histogram("osn_http_request_seconds", helpHTTPLatency, nil,
 			obs.L("endpoint", ep))
 	}
 	m.throttled = reg.Counter("osn_http_throttled_total", helpThrottled)
@@ -105,15 +76,13 @@ func (m *serverMetrics) shedded() {
 }
 
 // observe records one served request.
-func (m *serverMetrics) observe(endpoint string, code int, d time.Duration) {
+func (m *serverMetrics) observe(fam family, code int, d time.Duration) {
 	if m == nil {
 		return
 	}
 	m.reg.Counter("osn_http_requests_total", helpHTTPRequests,
-		obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
-	if h := m.latency[endpoint]; h != nil {
-		h.ObserveDuration(d)
-	}
+		obs.L("endpoint", fam.String()), obs.L("code", strconv.Itoa(code))).Inc()
+	m.latency[fam].ObserveDuration(d)
 	switch code {
 	case http.StatusServiceUnavailable:
 		m.throttled.Inc()

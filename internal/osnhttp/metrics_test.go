@@ -35,8 +35,8 @@ func TestEndpointName(t *testing.T) {
 		"/healthz":              "healthz",
 	}
 	for path, want := range cases {
-		if got := endpointName(path); got != want {
-			t.Errorf("endpointName(%q) = %q, want %q", path, got, want)
+		if got := route(path).family().String(); got != want {
+			t.Errorf("route(%q) family %q, want %q", path, got, want)
 		}
 	}
 }

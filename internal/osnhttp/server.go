@@ -1,22 +1,22 @@
 // Package osnhttp puts the simulated OSN behind a real HTTP interface and
-// provides the client-side page parser.
+// provides the client-side page parsers.
 //
 // The paper's measurement effort (Table 3) is denominated in HTTP GETs
 // against HTML endpoints: seed searches (with AJAX scrolling), public
 // profile pages, and paginated friend lists. This package serves those
-// pages as HTML with stable microformat-style class markers, and the Client
-// type fetches and parses them back into the osn view types, so the attack
-// can run over a network boundary exactly as the original crawlers did.
+// pages as HTML with stable microformat-style class markers, and the same
+// read plane as versioned JSON under /api/v1. One router, one request
+// parser and one append encoder serve both wires; only the page writers
+// differ (html.go, api.go). The Client and JSONClient types fetch and
+// parse the pages back into the osn view types, so the attack can run over
+// a network boundary exactly as the original crawlers did.
 package osnhttp
 
 import (
 	"errors"
 	"fmt"
-	"html/template"
+	"io"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,54 +29,27 @@ import (
 
 // Server wraps a Platform as an http.Handler. Handlers run on whatever
 // goroutine net/http dispatches them to: the platform serves every page
-// from its frozen read plane (profiles and friend pages are pre-resolved,
-// pre-paginated slices rendered zero-copy into the templates or the JSON
-// encoders), so the server needs no locking of its own.
+// from its frozen read plane (profiles and search pages are pre-resolved,
+// friend pages stream from the CSR row), and the writers append them into
+// a pooled encoder buffer, so the server needs no locking of its own and a
+// steady-state read allocates nothing on either wire.
 //
-// Two surfaces share one dispatcher: the HTML views the paper's crawlers
-// scraped, and the /api/v1 JSON wire (api.go). Both sit behind the same
-// inflight accounting (graceful drain) and optional per-endpoint-family
-// concurrency limiters (WithLimits).
+// Both wires sit behind the same router, inflight accounting (graceful
+// drain) and optional per-endpoint-family concurrency limiters
+// (WithLimits).
 type Server struct {
 	platform *osn.Platform
-	mux      *http.ServeMux
 	metrics  *serverMetrics
 	lg       *evlog.Logger
 	tel      *telemetry.Table
 	inflight atomic.Int64
-	limits   limiters
-}
-
-// limiters caps concurrent handlers per endpoint family with buffered
-// channels used as counting semaphores. A nil channel means unlimited.
-// Saturation sheds the request with a 503 overload envelope rather than
-// queueing: under overload the platform prefers fast rejection (which
-// clients treat as transient, like a throttle) to unbounded latency.
-type limiters struct {
-	search  chan struct{}
-	profile chan struct{}
-	friend  chan struct{}
-}
-
-// limiterFor picks the semaphore for a path, folding the JSON and HTML
-// routes onto the same families the metrics labels use.
-func (l *limiters) limiterFor(path string) chan struct{} {
-	if strings.HasPrefix(path, apiPrefix) {
-		path = path[len(apiPrefix)-1:]
-	}
-	seg := strings.TrimPrefix(path, "/")
-	if i := strings.IndexByte(seg, '/'); i >= 0 {
-		seg = seg[:i]
-	}
-	switch seg {
-	case "search", "find-friends", "graph-search", "city-search":
-		return l.search
-	case "profile":
-		return l.profile
-	case "friends":
-		return l.friend
-	}
-	return nil
+	// limits caps concurrent handlers per endpoint family with buffered
+	// channels used as counting semaphores. A nil channel means unlimited.
+	// Saturation sheds the request with a 503 overload envelope rather
+	// than queueing: under overload the platform prefers fast rejection
+	// (which clients treat as transient, like a throttle) to unbounded
+	// latency.
+	limits [numFamilies]chan struct{}
 }
 
 // releaseSlot is a named function (not a closure) so the deferred call in
@@ -85,15 +58,7 @@ func releaseSlot(lim chan struct{}) { <-lim }
 
 // NewServer returns a handler serving the platform.
 func NewServer(p *osn.Platform) *Server {
-	s := &Server{platform: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /register", s.handleRegister)
-	s.mux.HandleFunc("GET /schools", s.handleSchools)
-	s.mux.HandleFunc("GET /find-friends", s.handleSearch)
-	s.mux.HandleFunc("GET /graph-search", s.handleGraphSearch)
-	s.mux.HandleFunc("GET /city-search", s.handleCitySearch)
-	s.mux.HandleFunc("GET /profile/{id}", s.handleProfile)
-	s.mux.HandleFunc("GET /friends/{id}", s.handleFriends)
-	return s
+	return &Server{platform: p}
 }
 
 // WithLog attaches an event logger: every served request emits one "http"
@@ -115,7 +80,7 @@ func (s *Server) WithLimits(search, profile, friends int) *Server {
 		}
 		return make(chan struct{}, n)
 	}
-	s.limits = limiters{search: mk(search), profile: mk(profile), friend: mk(friends)}
+	s.limits[famSearch], s.limits[famProfile], s.limits[famFriends] = mk(search), mk(profile), mk(friends)
 	return s
 }
 
@@ -129,8 +94,9 @@ var recPool = sync.Pool{New: func() any { return &statusRecorder{} }}
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	t := route(r.URL.Path)
 	if s.metrics == nil && !s.lg.On(evlog.Info) {
-		s.serve(w, r)
+		s.serve(w, r, t)
 		return
 	}
 	if s.metrics != nil {
@@ -140,15 +106,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := recPool.Get().(*statusRecorder)
 	rec.ResponseWriter, rec.code = w, http.StatusOK
 	start := time.Now()
-	s.serve(rec, r)
+	s.serve(rec, r, t)
 	elapsed := time.Since(start)
-	endpoint := endpointName(r.URL.Path)
-	s.metrics.observe(endpoint, rec.code, elapsed)
+	fam := t.family()
+	s.metrics.observe(fam, rec.code, elapsed)
 	// req_id echoes the client's correlation header (empty for unstamped
 	// callers like curl) so runreport can join this access event to the
 	// attacker-side wire event for the same logical request.
 	s.lg.Info(r.Context(), "http", "request",
-		evlog.Str("endpoint", endpoint),
+		evlog.Str("endpoint", fam.String()),
 		evlog.Str("method", r.Method),
 		evlog.Str("path", r.URL.RequestURI()),
 		evlog.Str("req_id", r.Header.Get(RequestIDHeader)),
@@ -159,9 +125,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	recPool.Put(rec)
 }
 
-// serve applies the endpoint-family concurrency limit, then routes.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if lim := s.limits.limiterFor(r.URL.Path); lim != nil {
+// serve applies the endpoint family's concurrency limit, then dispatches.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, t target) {
+	if lim := s.limits[t.family()]; lim != nil {
 		select {
 		case lim <- struct{}{}:
 		default:
@@ -171,15 +137,252 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 		}
 		defer releaseSlot(lim)
 	}
-	path := r.URL.Path
-	switch {
-	case strings.HasPrefix(path, apiPrefix):
-		s.serveAPI(w, r)
-	case path == "/healthz":
-		s.handleHealthz(w, r)
-	default:
-		s.mux.ServeHTTP(w, r)
+	if t.api {
+		s.dispatchAPI(w, r, t)
+	} else {
+		s.dispatchHTML(w, r, t)
 	}
+}
+
+// Pre-allocated header values: assigning a shared slice into the header
+// map avoids the per-request []string allocation http.Header.Set makes.
+var (
+	ctText       = []string{"text/plain; charset=utf-8"}
+	nosniff      = []string{"nosniff"}
+	retryAfter1  = []string{"1"}
+	allowGetHead = []string{"GET, HEAD"}
+	allowPost    = []string{"POST"}
+)
+
+// dispatchHTML serves the HTML wire. Read pages answer GET and HEAD,
+// registration answers POST, the health probe answers any method; an
+// unknown path is a 404 whatever the method, and a profile or friend-list
+// id is exactly one non-empty path segment.
+func (s *Server) dispatchHTML(w http.ResponseWriter, r *http.Request, t target) {
+	switch ep := t.ep; {
+	case ep == epHealthz && !t.sub:
+		s.healthz(w)
+	case ep == epRegister && !t.sub:
+		if r.Method != http.MethodPost {
+			methodNotAllowed(w, allowPost)
+			return
+		}
+		s.register(w, r, t)
+	case (ep == epSchools || ep == epFindFriends || ep == epCitySearch || ep == epGraphSearch) && !t.sub,
+		(ep == epProfile || ep == epFriends) && t.rest != "" && oneSegment(r.URL):
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			methodNotAllowed(w, allowGetHead)
+			return
+		}
+		s.page(w, r, t)
+	default:
+		textError(w, http.StatusNotFound, "404 page not found")
+	}
+}
+
+func methodNotAllowed(w http.ResponseWriter, allow []string) {
+	w.Header()["Allow"] = allow
+	textError(w, http.StatusMethodNotAllowed, "Method Not Allowed")
+}
+
+// dispatchAPI serves /api/v1/. Everything but registration is GET-only,
+// and the method is checked before the path.
+func (s *Server) dispatchAPI(w http.ResponseWriter, r *http.Request, t target) {
+	if t.ep == epRegister && !t.sub {
+		if r.Method != http.MethodPost {
+			apiError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "register is POST-only")
+			return
+		}
+		s.register(w, r, t)
+		return
+	}
+	if r.Method != http.MethodGet {
+		apiError(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "API endpoints are GET-only")
+		return
+	}
+	switch ep := t.ep; {
+	case (ep == epSchools || ep == epSearch) && !t.sub,
+		(ep == epProfile || ep == epFriends) && t.sub:
+		s.page(w, r, t)
+	case ep == epAdmin && t.sub:
+		s.serveAdmin(w, r, t.rest)
+	default:
+		apiError(w, r, http.StatusNotFound, "not_found", "unknown API route")
+	}
+}
+
+// page serves a read endpoint on either wire: parse, read the platform,
+// write the wire's page.
+func (s *Server) page(w http.ResponseWriter, r *http.Request, t target) {
+	if t.ep == epSchools {
+		s.schools(w, t)
+		return
+	}
+	q, bad := parseQuery(r.URL.RawQuery, t)
+	if bad != "" {
+		badRequest(w, r, t, bad)
+		return
+	}
+	switch t.ep {
+	case epProfile:
+		s.profile(w, r, t, &q)
+	case epFriends:
+		s.friends(w, r, t, &q)
+	default:
+		s.search(w, r, t, &q)
+	}
+}
+
+func (s *Server) schools(w http.ResponseWriter, t target) {
+	schools := s.platform.Schools()
+	e := getEnc()
+	if t.api {
+		e.jsonSchools(schools, s.platform.EpochSeq())
+		e.flush(w, ctJSON)
+	} else {
+		e.htmlSchools(schools)
+		e.flush(w, ctHTML)
+	}
+	putEnc(e)
+}
+
+func (s *Server) search(w http.ResponseWriter, r *http.Request, t target, q *query) {
+	var (
+		results []osn.SearchResult
+		more    bool
+		epoch   uint64
+		err     error
+	)
+	switch q.kind {
+	case searchSchool:
+		results, more, epoch, err = s.platform.SchoolSearchEpoch(q.acct, q.school, q.page)
+	case searchCity:
+		results, more, epoch, err = s.platform.CitySearchEpoch(q.acct, q.city, q.page)
+	case searchGraph:
+		results, more, epoch, err = s.platform.GraphSearchEpoch(q.acct, osn.GraphQuery{
+			SchoolID:        q.school,
+			CurrentStudents: q.current,
+			GradYearAfter:   q.after,
+			GradYearBefore:  q.before,
+			City:            q.city,
+		}, q.page)
+	}
+	if err != nil {
+		fail(w, r, t, err)
+		return
+	}
+	e := getEnc()
+	if t.api {
+		mark := len(e.b)
+		for i, row := range results {
+			e.sep(i)
+			e.jsonRow(row.ID, row.Name)
+		}
+		e.jsonList(mark, len(results), "results", more, epoch)
+		e.flush(w, ctJSON)
+	} else {
+		e.htmlResults(results, more, q)
+		e.flush(w, ctHTML)
+	}
+	putEnc(e)
+}
+
+func (s *Server) profile(w http.ResponseWriter, r *http.Request, t target, q *query) {
+	pp, epoch, err := s.platform.ProfileEpoch(q.acct, osn.PublicID(t.rest))
+	if err != nil {
+		fail(w, r, t, err)
+		return
+	}
+	e := getEnc()
+	if t.api {
+		e.jsonProfile(pp, epoch)
+		e.flush(w, ctJSON)
+	} else {
+		e.htmlProfile(pp)
+		e.flush(w, ctHTML)
+	}
+	putEnc(e)
+}
+
+// friends streams a friend page from the platform's CSR row straight into
+// the encoder buffer while the serving epoch is pinned: no intermediate
+// slice, and no buffer besides the encoder's.
+func (s *Server) friends(w http.ResponseWriter, r *http.Request, t target, q *query) {
+	id := osn.PublicID(t.rest)
+	e := getEnc()
+	var (
+		n     int
+		more  bool
+		epoch uint64
+		err   error
+	)
+	if t.api {
+		more, epoch, err = s.platform.FriendPageFunc(q.acct, id, q.page, func(f osn.FriendRef) {
+			e.sep(n)
+			e.jsonRow(f.ID, f.Name)
+			n++
+		})
+	} else {
+		e.htmlFriendsHead()
+		more, _, err = s.platform.FriendPageFunc(q.acct, id, q.page, e.htmlFriend)
+	}
+	if err != nil {
+		putEnc(e)
+		fail(w, r, t, err)
+		return
+	}
+	if t.api {
+		e.jsonList(0, n, "friends", more, epoch)
+		e.flush(w, ctJSON)
+	} else {
+		e.htmlFriendsTail(t.rest, more, q)
+		e.flush(w, ctHTML)
+	}
+	putEnc(e)
+}
+
+// register creates an account from a form post (name, birth) on either
+// wire: the HTML wire answers the bare token, /api/v1 a JSON object.
+func (s *Server) register(w http.ResponseWriter, r *http.Request, t target) {
+	if err := r.ParseForm(); err != nil {
+		badRequest(w, r, t, err.Error())
+		return
+	}
+	var birth sim.Date
+	if _, err := fmt.Sscanf(r.PostFormValue("birth"), "%d-%d-%d", &birth.Year, &birth.Month, &birth.Day); err != nil {
+		badRequest(w, r, t, "birth must be YYYY-MM-DD")
+		return
+	}
+	token, err := s.platform.RegisterAccount(r.PostFormValue("name"), birth)
+	if err != nil {
+		fail(w, r, t, err)
+		return
+	}
+	if !t.api {
+		io.WriteString(w, token)
+		return
+	}
+	e := getEnc()
+	e.raw(`{"token":`)
+	e.str(token)
+	e.raw(`}`)
+	e.flush(w, ctJSON)
+	putEnc(e)
+}
+
+// healthz serves the load-balancer probe on the main listener: a
+// deployment should not need -metrics-addr to know the process is alive.
+// The epoch id makes the probe double as the rotation watchdog — a healthy
+// -evolve deployment shows it increasing.
+func (s *Server) healthz(w http.ResponseWriter) {
+	e := getEnc()
+	e.raw(`{"status":"ok","inflight":`)
+	e.int(int(s.inflight.Load()))
+	e.raw(`,"epoch":`)
+	e.epoch(s.platform.EpochSeq())
+	e.raw(`}`)
+	e.flush(w, ctJSON)
+	putEnc(e)
 }
 
 // httpStatus maps platform errors onto wire status codes.
@@ -202,175 +405,38 @@ func httpStatus(err error) int {
 	}
 }
 
-func fail(w http.ResponseWriter, err error) {
-	code := httpStatus(err)
+// fail answers a platform error on the request's wire.
+func fail(w http.ResponseWriter, r *http.Request, t target, err error) {
+	if t.api {
+		code, codeStr := apiCode(err)
+		apiError(w, r, code, codeStr, err.Error())
+		return
+	}
+	textError(w, httpStatus(err), err.Error())
+}
+
+// badRequest answers a 400 on the request's wire.
+func badRequest(w http.ResponseWriter, r *http.Request, t target, msg string) {
+	if t.api {
+		apiError(w, r, http.StatusBadRequest, "bad_request", msg)
+		return
+	}
+	textError(w, http.StatusBadRequest, msg)
+}
+
+// textError answers on the HTML wire as http.Error does — a text/plain
+// body of msg and a newline — plus Retry-After on a 503.
+func textError(w http.ResponseWriter, code int, msg string) {
+	h := w.Header()
+	h["Content-Type"] = ctText
+	h["X-Content-Type-Options"] = nosniff
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+		h["Retry-After"] = retryAfter1
 	}
-	http.Error(w, err.Error(), code)
-}
-
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if err := r.ParseForm(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	name := r.PostFormValue("name")
-	var birth sim.Date
-	if _, err := fmt.Sscanf(r.PostFormValue("birth"), "%d-%d-%d", &birth.Year, &birth.Month, &birth.Day); err != nil {
-		http.Error(w, "birth must be YYYY-MM-DD", http.StatusBadRequest)
-		return
-	}
-	token, err := s.platform.RegisterAccount(name, birth)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	fmt.Fprint(w, token)
-}
-
-var schoolsTmpl = template.Must(template.New("schools").Parse(`<html><body>
-<ul id="schools">
-{{range .}}<li class="school" data-id="{{.ID}}"><span class="schoolname">{{.Name}}</span> <span class="schoolcity">{{.City}}</span></li>
-{{end}}</ul>
-</body></html>`))
-
-func (s *Server) handleSchools(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	schoolsTmpl.Execute(w, s.platform.Schools())
-}
-
-var searchTmpl = template.Must(template.New("search").Parse(`<html><body>
-<div id="results">
-{{range .Results}}<div class="result" data-id="{{.ID}}"><span class="name">{{.Name}}</span></div>
-{{end}}</div>
-{{if .More}}<a class="next" href="{{.NextURL}}">See more results</a>{{end}}
-</body></html>`))
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	acct := q.Get("acct")
-	schoolID, err := strconv.Atoi(q.Get("school"))
-	if err != nil {
-		http.Error(w, "school must be a numeric id", http.StatusBadRequest)
-		return
-	}
-	page, _ := strconv.Atoi(q.Get("page"))
-	results, more, err := s.platform.SchoolSearch(acct, schoolID, page)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	searchTmpl.Execute(w, map[string]any{
-		"Results": results,
-		"More":    more,
-		"NextURL": fmt.Sprintf("/find-friends?school=%d&page=%d&acct=%s", schoolID, page+1, acct),
-	})
-}
-
-func (s *Server) handleCitySearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	acct := q.Get("acct")
-	city := q.Get("city")
-	page, _ := strconv.Atoi(q.Get("page"))
-	results, more, err := s.platform.CitySearch(acct, city, page)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	searchTmpl.Execute(w, map[string]any{
-		"Results": results,
-		"More":    more,
-		"NextURL": fmt.Sprintf("/city-search?city=%s&page=%d&acct=%s", url.QueryEscape(city), page+1, acct),
-	})
-}
-
-func (s *Server) handleGraphSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	acct := q.Get("acct")
-	schoolID, err := strconv.Atoi(q.Get("school"))
-	if err != nil {
-		http.Error(w, "school must be a numeric id", http.StatusBadRequest)
-		return
-	}
-	page, _ := strconv.Atoi(q.Get("page"))
-	after, _ := strconv.Atoi(q.Get("after"))
-	before, _ := strconv.Atoi(q.Get("before"))
-	gq := osn.GraphQuery{
-		SchoolID:        schoolID,
-		CurrentStudents: q.Get("current") == "1",
-		GradYearAfter:   after,
-		GradYearBefore:  before,
-		City:            q.Get("city"),
-	}
-	results, more, err := s.platform.GraphSearch(acct, gq, page)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	searchTmpl.Execute(w, map[string]any{
-		"Results": results,
-		"More":    more,
-		"NextURL": fmt.Sprintf("/graph-search?school=%d&current=%s&after=%d&before=%d&city=%s&page=%d&acct=%s",
-			schoolID, q.Get("current"), after, before, q.Get("city"), page+1, acct),
-	})
-}
-
-var profileTmpl = template.Must(template.New("profile").Parse(`<html><body>
-<div id="profile" data-id="{{.ID}}">
-<h1 class="name">{{.Name}}</h1>
-{{if .HasPhoto}}<img class="photo" src="/photo/{{.ID}}.jpg">{{end}}
-{{if .Gender}}<span class="gender">{{.Gender}}</span>{{end}}
-{{if .Network}}<span class="network">{{.Network}}</span>{{end}}
-{{if .HighSchool}}<div class="education"><span class="school">{{.HighSchool}}</span> <span class="gradyear">Class of {{.GradYear}}</span></div>{{end}}
-{{if .GradSchool}}<div class="gradschool">Graduate school</div>{{end}}
-{{if .Relationship}}<span class="relationship">In a relationship</span>{{end}}
-{{if .InterestedIn}}<span class="interested">Interested in</span>{{end}}
-{{if .Birthday}}<span class="birthday">{{.Birthday}}</span>{{end}}
-{{if .Hometown}}<span class="hometown">{{.Hometown}}</span>{{end}}
-{{if .CurrentCity}}<span class="currentcity">{{.CurrentCity}}</span>{{end}}
-{{if .FriendListVisible}}<a class="friendlink" href="/friends/{{.ID}}">Friends</a>{{end}}
-{{if .PhotoCount}}<span class="photocount">{{.PhotoCount}}</span>{{end}}
-{{if .ContactInfo}}<span class="contact">Contact info</span>{{end}}
-{{if .CanMessage}}<a class="message" href="/message/{{.ID}}">Message</a>{{end}}
-{{if .Searchable}}<meta class="searchable" content="1">{{end}}
-</div>
-</body></html>`))
-
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	acct := r.URL.Query().Get("acct")
-	pp, err := s.platform.Profile(acct, osn.PublicID(r.PathValue("id")))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	profileTmpl.Execute(w, pp)
-}
-
-var friendsTmpl = template.Must(template.New("friends").Parse(`<html><body>
-<ul id="friends">
-{{range .Friends}}<li class="friend" data-id="{{.ID}}"><span class="name">{{.Name}}</span></li>
-{{end}}</ul>
-{{if .More}}<a class="next" href="{{.NextURL}}">More friends</a>{{end}}
-</body></html>`))
-
-func (s *Server) handleFriends(w http.ResponseWriter, r *http.Request) {
-	acct := r.URL.Query().Get("acct")
-	id := r.PathValue("id")
-	page, _ := strconv.Atoi(r.URL.Query().Get("page"))
-	friends, more, err := s.platform.FriendPage(acct, osn.PublicID(id), page)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	friendsTmpl.Execute(w, map[string]any{
-		"Friends": friends,
-		"More":    more,
-		"NextURL": fmt.Sprintf("/friends/%s?page=%d&acct=%s", id, page+1, acct),
-	})
+	w.WriteHeader(code)
+	e := getEnc()
+	e.raw(msg)
+	e.b = append(e.b, '\n')
+	w.Write(e.b)
+	putEnc(e)
 }

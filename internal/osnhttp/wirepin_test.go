@@ -211,6 +211,11 @@ func TestRouteStatusTable(t *testing.T) {
 		{"/friends/?" + acct, 404, 404, 404},
 		{"/profile/a%2Fb?" + acct, 404, 404, 405},
 		{"/friends/a%2Fb?" + acct, 404, 404, 405},
+		{"/profile/a/b?" + acct, 404, 404, 404},
+		{"/friends/a/b?" + acct, 404, 404, 404},
+		{"/schools/", 404, 404, 404},
+		{"/healthz/", 404, 404, 404},
+		{"/register/", 404, 404, 404},
 		{"/find-friends?school=x&" + acct, 400, 400, 405},
 		{"/graph-search?school=x&" + acct, 400, 400, 405},
 		{"/profile/no-such-id?" + acct, 404, 404, 405},
@@ -228,6 +233,9 @@ func TestRouteStatusTable(t *testing.T) {
 		{"/api/v1/friends/?" + acct, 404, 405, 405},
 		{"/api/v1/profile/a%2Fb?" + acct, 404, 405, 405},
 		{"/api/v1/friends/a%2Fb?" + acct, 404, 405, 405},
+		{"/api/v1/profile/a/b?" + acct, 404, 405, 405},
+		{"/api/v1/schools/", 404, 405, 405},
+		{"/api/v1/healthz", 404, 405, 405},
 		{"/api/v1/search?school=x&" + acct, 400, 405, 405},
 		{"/api/v1/search?graph=1&school=x&" + acct, 400, 405, 405},
 		{"/api/v1/admin/telemetry", 404, 405, 405},
