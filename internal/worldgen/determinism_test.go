@@ -1,6 +1,8 @@
 package worldgen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 )
 
@@ -153,5 +155,64 @@ func TestGoldenFingerprints(t *testing.T) {
 					fp, want, name)
 			}
 		})
+	}
+}
+
+// Evolved golden fingerprints pin evolution across versions the way
+// goldenFingerprints pins generation: each world is evolved three years,
+// at one and at four workers, and both the final world and every year's
+// edge delta must match. The table above cannot notice a drift in
+// evolution, since it only covers freshly generated worlds.
+var goldenEvolved = map[string]struct{ world, deltas string }{
+	"city3/par/seed2013": {
+		"f29acd4a67ae7f074557a1a43f5c8f0e3ffcccd46260b9e8897a5adcb281667a",
+		"9989cf8eb2211c98edc913a3809900441228c2db3ff499f4f86a7e981d04a015",
+	},
+	"tiny/par/seed42": {
+		"f4b6a6303a36dc9cde708b4c6d7f485be49d2fe29bf640aab610dfdf34a9c9a5",
+		"3bee663546847324b04ed9152e226774af402a5a48e3b6578709c33fc2bf3e72",
+	},
+}
+
+func TestGoldenEvolvedFingerprints(t *testing.T) {
+	worlds := map[string]func() (*World, error){
+		"city3/par/seed2013": func() (*World, error) { return GenerateParallel(CityConfig(3), 2013, 4) },
+		"tiny/par/seed42":    func() (*World, error) { return GenerateParallel(TinyConfig(), 42, 8) },
+	}
+	for name, gen := range worlds {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) {
+				t.Parallel()
+				w, err := gen()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev := NewEvolver(DefaultEvolveConfig(), workers)
+				h := sha256.New()
+				for year := 1; year <= 3; year++ {
+					d, err := ev.Step(w, year)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(h, "year %d added %d removed %d\n", year, len(d.Added), len(d.Removed))
+					for _, e := range d.Added {
+						fmt.Fprintf(h, "+%d-%d\n", e.A, e.B)
+					}
+					for _, e := range d.Removed {
+						fmt.Fprintf(h, "-%d-%d\n", e.A, e.B)
+					}
+				}
+				fp, err := w.Fingerprint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				deltas := fmt.Sprintf("%x", h.Sum(nil))
+				want := goldenEvolved[name]
+				if fp != want.world || deltas != want.deltas {
+					t.Fatalf("evolved world drifted:\n  world  got %s want %s\n  deltas got %s want %s",
+						fp, want.world, deltas, want.deltas)
+				}
+			})
+		}
 	}
 }
