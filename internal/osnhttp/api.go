@@ -2,7 +2,6 @@ package osnhttp
 
 import (
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -244,26 +243,33 @@ func (e *enc) jsonRow(id osn.PublicID, name string) {
 	e.raw(`}`)
 }
 
-// jsonList wraps the n rows appended since mark into a list body:
-// {"n":N,"<key>":[rows],"more":B,"epoch":E}. A friend page's rows stream
-// out of the CSR row before their count is known, so the head is appended
-// after them and rotated into place.
-func (e *enc) jsonList(mark, n int, key string, more bool, epoch uint64) {
-	rows := len(e.b) - mark
-	e.raw(`{"n":`)
-	e.int(n)
-	e.raw(`,"`)
-	e.raw(key)
-	e.raw(`":[`)
-	body := e.b[mark:]
-	slices.Reverse(body[:rows])
-	slices.Reverse(body[rows:])
-	slices.Reverse(body)
+// appendListHead appends the head of a list body, {"n":N,"<key>":[, to
+// dst.
+func appendListHead(dst []byte, n int, key string) []byte {
+	dst = append(dst, `{"n":`...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, `,"`...)
+	dst = append(dst, key...)
+	return append(dst, `":[`...)
+}
+
+// jsonListTail closes a list body: ],"more":B,"epoch":E}.
+func (e *enc) jsonListTail(more bool, epoch uint64) {
 	e.raw(`],"more":`)
 	e.bool(more)
 	e.raw(`,"epoch":`)
 	e.epoch(epoch)
 	e.raw(`}`)
+}
+
+// prepend writes head in front of everything in the buffer. A friend
+// page's rows stream out of the CSR row before their count is known, so
+// its list head goes in after them, with one move of the rows.
+func (e *enc) prepend(head []byte) {
+	n := len(e.b)
+	e.b = append(e.b, head...)
+	copy(e.b[len(head):], e.b[:n])
+	copy(e.b, head)
 }
 
 func (e *enc) jsonProfile(pp *osn.PublicProfile, epoch uint64) {

@@ -1,8 +1,6 @@
 package osnhttp
 
-import (
-	"hsprofiler/internal/osn"
-)
+import "hsprofiler/internal/osn"
 
 // The HTML pages the paper's crawlers scraped, written with the same
 // append encoder as /api/v1. Each writer takes view values, never the

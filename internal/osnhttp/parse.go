@@ -11,8 +11,8 @@ import (
 // The crawler-side parser. The original study downloaded Facebook HTML and
 // extracted fields with a custom parser; this one does the same against the
 // simulator's pages. It scans for class-marked elements rather than building
-// a DOM: the markers are a stable contract with the server templates, and
-// the scanning tolerates reformatting around them.
+// a DOM: the markers are a stable contract with the server's page writers
+// (html.go), and the scanning tolerates reformatting around them.
 
 // ErrMalformed reports a page that failed structural validation: truncated
 // mid-transfer, garbled, or missing the container its endpoint always

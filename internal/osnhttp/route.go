@@ -183,8 +183,11 @@ func parseQuery(raw string, t target) (q query, bad string) {
 			continue
 		}
 		for i, k := range queryKeys {
-			if key == k && !seen[i] {
-				seen[i], vals[i] = true, unescapeValue(v)
+			if key == k {
+				if !seen[i] {
+					seen[i], vals[i] = true, unescapeValue(v)
+				}
+				break
 			}
 		}
 	}

@@ -273,12 +273,12 @@ func (s *Server) search(w http.ResponseWriter, r *http.Request, t target, q *que
 	}
 	e := getEnc()
 	if t.api {
-		mark := len(e.b)
+		e.b = appendListHead(e.b, len(results), "results")
 		for i, row := range results {
 			e.sep(i)
 			e.jsonRow(row.ID, row.Name)
 		}
-		e.jsonList(mark, len(results), "results", more, epoch)
+		e.jsonListTail(more, epoch)
 		e.flush(w, ctJSON)
 	} else {
 		e.htmlResults(results, more, q)
@@ -332,7 +332,9 @@ func (s *Server) friends(w http.ResponseWriter, r *http.Request, t target, q *qu
 		return
 	}
 	if t.api {
-		e.jsonList(0, n, "friends", more, epoch)
+		var head [48]byte
+		e.prepend(appendListHead(head[:0], n, "friends"))
+		e.jsonListTail(more, epoch)
 		e.flush(w, ctJSON)
 	} else {
 		e.htmlFriendsTail(t.rest, more, q)
