@@ -553,30 +553,22 @@ func (ev *Evolver) buildFormationPools(w *World) *formationPools {
 	return pools
 }
 
-// formTies draws k partners for u from pool, skipping self-picks,
-// pre-existing friendships, and same-step duplicates. Failed picks are
-// simply dropped — the rates are means, not exact quotas.
+// formTies draws k partners for u from pool, skipping self-picks and
+// pre-existing friendships. Failed picks are simply dropped — the rates
+// are means, not exact quotas. A partner drawn twice in one step is
+// appended twice: NormalizeEdges drops the duplicate, and the pick drew its
+// random number either way, so the stream does not depend on it.
 func formTies(rng *sim.Rand, prev *socialgraph.Frozen, u socialgraph.UserID, pool []socialgraph.UserID, k int, out *[]socialgraph.Edge) {
 	if len(pool) == 0 {
 		return
 	}
 	for i := 0; i < k; i++ {
 		v := pool[rng.Intn(len(pool))]
-		if v == u || prev.AreFriends(u, v) || containsEdge(*out, normEdge(u, v)) {
+		if v == u || prev.AreFriends(u, v) {
 			continue
 		}
 		*out = append(*out, normEdge(u, v))
 	}
-}
-
-// containsEdge scans a person's (short) same-step add list.
-func containsEdge(edges []socialgraph.Edge, e socialgraph.Edge) bool {
-	for _, x := range edges {
-		if x == e {
-			return true
-		}
-	}
-	return false
 }
 
 // shard runs fn for every user ID across the Evolver's workers and appends
