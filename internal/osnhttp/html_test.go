@@ -137,32 +137,6 @@ func TestBadPageIs400(t *testing.T) {
 	}
 }
 
-// statusWorld serves a tiny world with one registered account and returns
-// the token and the id of a profile whose friend list is visible.
-func statusWorld(t *testing.T) (*osn.Platform, string, string) {
-	t.Helper()
-	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := osn.NewPlatform(w, osn.Facebook(), osn.Config{})
-	tok, err := p.RegisterAccount("status-probe", mustDate(1985, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := p.SchoolSearch(tok, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if pp, err := p.Profile(tok, r.ID); err == nil && pp.FriendListVisible {
-			return p, tok, string(r.ID)
-		}
-	}
-	t.Fatal("no visible friend list to probe")
-	return nil, "", ""
-}
-
 // nextHref extracts the decoded href of a page's next link.
 func nextHref(t *testing.T, body string) string {
 	t.Helper()

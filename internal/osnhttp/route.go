@@ -172,7 +172,7 @@ var queryKeys = [numQueryKeys]string{
 // school search's school. The first occurrence of a key wins. Values are
 // substrings of the request URL; only a percent- or plus-encoded value
 // (a city with a space) costs a decode allocation.
-func parseQuery(raw string, t target) (q query, bad string) {
+func parseQuery(raw string, ep endpoint) (q query, bad string) {
 	var vals [numQueryKeys]string
 	var seen [numQueryKeys]bool
 	for raw != "" {
@@ -192,7 +192,7 @@ func parseQuery(raw string, t target) (q query, bad string) {
 		}
 	}
 	q.acct, q.city = vals[qAcct], vals[qCity]
-	switch t.ep {
+	switch ep {
 	case epProfile:
 		return q, ""
 	case epSearch:
@@ -212,7 +212,7 @@ func parseQuery(raw string, t target) (q query, bad string) {
 		return q, badPage
 	}
 	switch {
-	case t.ep == epFriends:
+	case ep == epFriends:
 	case q.kind == searchSchool:
 		var err error
 		if q.school, err = strconv.Atoi(vals[qSchool]); err != nil {

@@ -218,7 +218,7 @@ func (s *Server) page(w http.ResponseWriter, r *http.Request, t target) {
 		s.schools(w, t)
 		return
 	}
-	q, bad := parseQuery(r.URL.RawQuery, t)
+	q, bad := parseQuery(r.URL.RawQuery, t.ep)
 	if bad != "" {
 		badRequest(w, r, t, bad)
 		return

@@ -161,33 +161,11 @@ func TestHTMLAttackDigest(t *testing.T) {
 // and POST on both wires, plus the malformed paths and ids a router must
 // reject the same way.
 func TestRouteStatusTable(t *testing.T) {
-	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := osn.NewPlatform(w, osn.Facebook(), osn.Config{})
+	p, tok, open := statusWorld(t)
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
-	tok, err := p.RegisterAccount("status-probe", mustDate(1985, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	acct := "acct=" + url.QueryEscape(tok)
-	res, _, err := p.SchoolSearch(tok, 0, 0)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("seed search: %d results, err=%v", len(res), err)
-	}
-	open := ""
-	for _, r := range res {
-		if pp, err := p.Profile(tok, r.ID); err == nil && pp.FriendListVisible {
-			open = string(r.ID)
-			break
-		}
-	}
-	if open == "" {
-		t.Fatal("no visible friend list to probe")
-	}
-	city := url.QueryEscape(w.Schools[0].City)
+	city := url.QueryEscape(p.Schools()[0].City)
 
 	const (
 		get, head, post = http.MethodGet, http.MethodHead, http.MethodPost
@@ -259,4 +237,30 @@ func TestRouteStatusTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// statusWorld serves a tiny world with one registered account and returns
+// the token and the id of a profile whose friend list is visible.
+func statusWorld(t *testing.T) (*osn.Platform, string, string) {
+	t.Helper()
+	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := osn.NewPlatform(w, osn.Facebook(), osn.Config{})
+	tok, err := p.RegisterAccount("status-probe", mustDate(1985, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := p.SchoolSearch(tok, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if pp, err := p.Profile(tok, r.ID); err == nil && pp.FriendListVisible {
+			return p, tok, string(r.ID)
+		}
+	}
+	t.Fatal("no visible friend list to probe")
+	return nil, "", ""
 }
