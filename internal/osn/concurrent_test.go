@@ -1,6 +1,7 @@
 package osn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -253,34 +254,49 @@ func someVisibleProfile(t testing.TB, p *Platform) PublicID {
 	return ""
 }
 
-// TestReadPlaneZeroAlloc guards the satellite fix for the allocating
-// Graph.Friends hot path: profile renders and friend pages are served
-// entirely from the frozen read plane — zero allocations per request.
-// Friend pages render into a caller-reused buffer (FriendPageInto); after
-// the buffer's one-time warm-up, the steady-state pair allocates nothing.
+// TestReadPlaneZeroAlloc guards the read path: a profile render, a friend
+// page streamed through FriendPageFunc and a school search page are served
+// entirely from the pinned epoch, with zero allocations per request. It
+// holds on the static platform and again after each of three incremental
+// epoch advances over the evolving world, so rotation cannot put an
+// allocation on the read path or silently fall back to full rebuilds.
 func TestReadPlaneZeroAlloc(t *testing.T) {
 	p := testPlatform(t, Config{})
 	tok := attacker(t, p)
+	readPlaneAllocs(t, "static", p, tok)
+	ev := worldgen.NewEvolver(worldgen.DefaultEvolveConfig(), 2)
+	for year := 1; year <= 3; year++ {
+		d, err := ev.Step(p.World(), year)
+		if err != nil {
+			t.Fatalf("evolve year %d: %v", year, err)
+		}
+		if st := p.AdvanceEpochDelta(context.Background(), d); !st.Incremental {
+			t.Fatalf("year %d: advance did not take the incremental path", year)
+		}
+		readPlaneAllocs(t, fmt.Sprintf("year %d", year), p, tok)
+	}
+}
+
+// readPlaneAllocs fails the test unless one profile, friend page and
+// search page read on the current epoch allocates nothing. AllocsPerRun's
+// warm-up call fills the account's search view for the epoch.
+func readPlaneAllocs(t *testing.T, label string, p *Platform, tok string) {
+	t.Helper()
 	id := someVisibleProfile(t, p)
-	if _, err := p.Profile(tok, id); err != nil {
-		t.Fatal(err)
-	}
-	fbuf, _, err := p.FriendPageInto(nil, tok, id, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	emit := func(FriendRef) {}
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := p.Profile(tok, id); err != nil {
 			t.Fatal(err)
 		}
-		var err error
-		fbuf, _, err = p.FriendPageInto(fbuf, tok, id, 0)
-		if err != nil {
+		if _, _, err := p.FriendPageFunc(tok, id, 0, emit); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.SchoolSearch(tok, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("read plane allocates %v allocs per request pair, want 0", allocs)
+		t.Fatalf("%s: read plane allocates %v allocs per profile/friends/search triple, want 0", label, allocs)
 	}
 }
 
