@@ -110,7 +110,7 @@ func TestConcurrentEpochRotation(t *testing.T) {
 						t.Errorf("profile %s: %v", id, err)
 						continue
 					}
-					_, _, fe, ferr := p.FriendPageEpoch(tok, id, 0)
+					_, fe, ferr := p.FriendPageFunc(tok, id, 0, func(FriendRef) {})
 					if pe != fe {
 						continue // swap in between: no claim
 					}
