@@ -149,9 +149,6 @@ func (p *Platform) release(e *epoch) {
 // into every /api/v1 response and /healthz.
 func (p *Platform) EpochSeq() uint64 { return p.cur.Load().seq }
 
-// EpochNow reports the collection date the current epoch was built at.
-func (p *Platform) EpochNow() sim.Date { return p.cur.Load().now }
-
 // SetPolicy replaces the policy used by the NEXT epoch build — the
 // scheduled-flip hook (e.g. opening minor profiles to search in 2013).
 // The current epoch keeps serving its own policy snapshot until

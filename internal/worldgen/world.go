@@ -43,8 +43,7 @@ type World struct {
 	// Graph is the mutable adjacency-map graph. Worlds built by the
 	// sequential Generate carry one; worlds from GenerateParallel or a
 	// binary snapshot are frozen-only (Graph == nil) — the CSR snapshot was
-	// built directly and no map-based graph ever existed. Call Thawed to
-	// materialize one on demand.
+	// built directly and no map-based graph ever existed.
 	Graph *socialgraph.Graph
 
 	// frozen caches the CSR snapshot of Graph; built once, on generation
@@ -57,15 +56,6 @@ type World struct {
 // graph.
 func (w *World) SetFrozen(f *socialgraph.Frozen) {
 	w.frozen.Store(f)
-}
-
-// Thawed returns the mutable graph, reconstructing it from the frozen
-// snapshot for frozen-only worlds. The reconstruction is not retained.
-func (w *World) Thawed() *socialgraph.Graph {
-	if w.Graph != nil {
-		return w.Graph
-	}
-	return w.Frozen().Thaw()
 }
 
 // Frozen returns the immutable CSR snapshot of the friendship graph,
