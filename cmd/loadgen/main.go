@@ -5,7 +5,7 @@
 //
 //	loadgen -url http://127.0.0.1:8080 -rate 2000 -duration 30s
 //
-// Closed loop (max throughput, the servingbench sweep mode):
+// Closed loop (max throughput):
 //
 //	loadgen -url http://127.0.0.1:8080 -workers 8 -duration 10s
 //
