@@ -496,8 +496,7 @@ func BenchmarkPlatformConcurrent(b *testing.B) {
 // so overlapping requests — not extra cores — is what buys throughput.
 // Each sub-benchmark reports the logical request total (identical at every
 // worker count, by construction) so the ns/op ratios are directly
-// comparable. cmd/attackbench runs the same sweep and writes
-// BENCH_attack.json for the CI regression gate.
+// comparable.
 func BenchmarkRunParallel(b *testing.B) {
 	sc := experiments.HS1()
 	world, err := lab().World(sc)
