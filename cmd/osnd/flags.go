@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hsprofiler/internal/osnhttp"
-	"hsprofiler/internal/worldgen"
 )
 
 // servingFlags groups the flag values that shape the serving plane, split
@@ -96,15 +95,4 @@ func (f servingFlags) validate() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// validateWorld rejects flag/world combinations that could otherwise only
-// fail (or worse, panic) mid-serve. It runs after the world loads, in the
-// same loud-failure spirit as validate. Since the evolution step learned to
-// patch the CSR snapshot directly, frozen-only worlds (binary snapshots,
-// parallel generation) evolve like any other — there is currently nothing
-// to reject, but the hook stays so future world-shape constraints have a
-// home.
-func (f servingFlags) validateWorld(w *worldgen.World) error {
-	return nil
 }

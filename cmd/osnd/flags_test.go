@@ -1,7 +1,6 @@
 package main
 
 import (
-	"hsprofiler/internal/worldgen"
 	"strings"
 	"testing"
 	"time"
@@ -159,27 +158,5 @@ func TestEvolveFlagsValidate(t *testing.T) {
 	f.Evolve = evolveFlags{Enabled: false, Interval: 0, Workers: 0}
 	if err := f.validate(); err != nil {
 		t.Fatalf("disabled evolve flags validated anyway: %v", err)
-	}
-}
-
-// TestValidateWorldAcceptsFrozenOnly: evolution now patches the CSR
-// snapshot directly, so -evolve against a world without a mutable graph
-// (binary snapshot, parallel generation) is the supported metro-scale
-// temporal path, not an error.
-func TestValidateWorldAcceptsFrozenOnly(t *testing.T) {
-	w, err := worldgen.Generate(worldgen.TinyConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := goodEvolveFlags().validateWorld(w); err != nil {
-		t.Fatalf("mutable world rejected: %v", err)
-	}
-	frozen := &worldgen.World{Seed: w.Seed, Now: w.Now, Schools: w.Schools, People: w.People}
-	frozen.SetFrozen(w.Frozen())
-	if err := goodEvolveFlags().validateWorld(frozen); err != nil {
-		t.Fatalf("frozen-only world rejected with -evolve: %v", err)
-	}
-	if err := goodFlags().validateWorld(frozen); err != nil {
-		t.Fatalf("frozen-only world rejected without -evolve: %v", err)
 	}
 }

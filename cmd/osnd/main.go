@@ -56,7 +56,7 @@ func main() {
 	inflightSearch := flag.Int("inflight-search", 0, "max concurrent search requests; excess shed with 503 (0 = unlimited)")
 	inflightProfile := flag.Int("inflight-profile", 0, "max concurrent profile requests; excess shed with 503 (0 = unlimited)")
 	inflightFriends := flag.Int("inflight-friends", 0, "max concurrent friend-list requests; excess shed with 503 (0 = unlimited)")
-	evolve := flag.Bool("evolve", false, "advance the world one simulated year per -evolve-interval and rotate the serving epoch incrementally (works on any world, including frozen-only binary snapshots)")
+	evolve := flag.Bool("evolve", false, "advance the world one simulated year per -evolve-interval and rotate the serving epoch incrementally (works on any world, generated or loaded from a snapshot)")
 	evolveInterval := flag.Duration("evolve-interval", 30*time.Second, "wall-clock time per simulated year under -evolve")
 	evolveEpochs := flag.Int("evolve-epochs", 0, "stop evolving after this many epochs (0 = until shutdown)")
 	evolveWorkers := flag.Int("evolve-workers", 4, "worker goroutines for the evolution step (any count yields bit-identical worlds)")
@@ -124,9 +124,6 @@ func main() {
 		err = fmt.Errorf("one of -world or -scenario is required")
 	}
 	if err != nil {
-		fatal(err)
-	}
-	if err := sf.validateWorld(w); err != nil {
 		fatal(err)
 	}
 

@@ -8,11 +8,12 @@
 //	worldgen -scenario metro -schools 1200 -workers 8 -format bin -o metro.world
 //
 // With -workers N (N >= 1) the world is built by the sharded streaming
-// generator: bit-identical output at any worker count, CSR graph built
-// directly, no mutable graph in memory. Without -workers (or -workers 0)
-// the legacy sequential generator runs; the two produce different (but each
-// fully deterministic) world families for the same seed, so pick one per
-// dataset and stay with it.
+// generator, bit-identical at any worker count. Without -workers (or
+// -workers 0) the sequential generator runs. Both assemble the CSR graph
+// with the same builder, but they produce different (each fully
+// deterministic) world families for the same seed, so pick one per dataset
+// and stay with it. A negative -workers, or a city or metro scenario with
+// fewer than one school, is rejected before anything is generated.
 //
 // File output is atomic (temp file + rename): a failed run leaves no
 // truncated or empty snapshot behind.
@@ -59,6 +60,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "worldgen: unknown format %q (want %q or %q)\n", *format, worldgen.FormatJSON, worldgen.FormatBinary)
 		os.Exit(2)
 	}
+	if err := validate(*scenario, *schools, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
+		os.Exit(2)
+	}
 
 	genStart := time.Now()
 	var w *worldgen.World
@@ -69,7 +74,7 @@ func main() {
 		w, err = worldgen.Generate(cfg, *seed)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
+		fmt.Fprintln(os.Stderr, err) // worldgen's errors name the package
 		os.Exit(1)
 	}
 	genDur := time.Since(genStart)
@@ -93,13 +98,18 @@ func main() {
 	writeStart := time.Now()
 	if *out != "" {
 		err = w.WriteFile(*out, *format)
-	} else if *format == worldgen.FormatBinary {
-		err = w.WriteBinary(os.Stdout)
 	} else {
-		err = w.WriteJSON(os.Stdout)
+		if *format == worldgen.FormatBinary {
+			err = w.WriteBinary(os.Stdout)
+		} else {
+			err = w.WriteJSON(os.Stdout)
+		}
+		if err != nil {
+			err = fmt.Errorf("worldgen: writing snapshot: %w", err)
+		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *stats && *out != "" {
@@ -108,4 +118,17 @@ func main() {
 				*out, st.Size(), *format, time.Since(writeStart).Round(time.Millisecond))
 		}
 	}
+}
+
+// validate rejects flag values that would silently build another world or
+// fail inside the generator: a negative -workers would run the sequential
+// generator, whose world differs from the sharded one for the same seed.
+func validate(scenario string, schools, workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers must be 0 (sequential generator) or a worker count, got %d", workers)
+	}
+	if (scenario == "city" || scenario == "metro") && schools < 1 {
+		return fmt.Errorf("-schools must be at least 1 for the %s scenario, got %d", scenario, schools)
+	}
+	return nil
 }

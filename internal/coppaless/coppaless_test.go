@@ -47,7 +47,7 @@ func TestWithoutCOPPATransform(t *testing.T) {
 	if liars == 0 {
 		t.Fatal("transform mutated the original world")
 	}
-	if cf.Graph != w.Graph {
+	if cf.Frozen() != w.Frozen() {
 		t.Error("counterfactual should share the friendship graph")
 	}
 }

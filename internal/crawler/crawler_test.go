@@ -93,7 +93,7 @@ func TestFetchFriendsCountsPages(t *testing.T) {
 		if !person.HasAccount || person.RegisteredMinorAt(w.Now) || !person.Privacy.FriendListPublic {
 			continue
 		}
-		deg := w.Graph.Degree(person.ID)
+		deg := w.Frozen().Degree(person.ID)
 		if deg < 15 {
 			continue
 		}

@@ -114,8 +114,8 @@ func TestFetcherFriendListsHiddenNil(t *testing.T) {
 				t.Fatalf("visible list %s is nil", ids[i])
 			}
 			u, _ := p.UserIDOf(ids[i])
-			if len(lists[i]) != w.Graph.Degree(u) {
-				t.Fatalf("list %s has %d entries, degree %d", ids[i], len(lists[i]), w.Graph.Degree(u))
+			if len(lists[i]) != w.Frozen().Degree(u) {
+				t.Fatalf("list %s has %d entries, degree %d", ids[i], len(lists[i]), w.Frozen().Degree(u))
 			}
 		}
 	}

@@ -360,7 +360,7 @@ func TestEffortModelPredictsMeasurement(t *testing.T) {
 		if !person.Privacy.FriendListPublic || person.RegisteredMinorAt(world.Now) {
 			continue
 		}
-		deg := world.Graph.Degree(uid)
+		deg := world.Frozen().Degree(uid)
 		pages := (deg + p - 1) / p
 		if pages == 0 {
 			pages = 1 // even an empty list costs one request

@@ -87,7 +87,7 @@ func TestRecoveredFriendsAreTrueFriends(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown friend %s", fid)
 			}
-			if !w.Graph.AreFriends(u, v) {
+			if !w.Frozen().AreFriends(u, v) {
 				t.Fatalf("recovered edge %s-%s is not a true friendship", id, fid)
 			}
 		}
@@ -206,7 +206,7 @@ func TestInferHiddenLinksPrecision(t *testing.T) {
 		}
 		a, _ := f.platform.UserIDOf(l.A)
 		b, _ := f.platform.UserIDOf(l.B)
-		if w.Graph.AreFriends(a, b) {
+		if w.Frozen().AreFriends(a, b) {
 			correct++
 		}
 	}

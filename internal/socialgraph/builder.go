@@ -5,16 +5,16 @@ import (
 	"sort"
 )
 
-// Edge is one undirected friendship, normalized so A < B. Shard generators
-// emit edges in this form; BuildFrozen assembles them into a Frozen without
-// ever materializing the map-based mutable Graph.
+// Edge is one undirected friendship, normalized so A < B. World generators
+// and snapshot readers emit edges in this form; a FrozenBuilder assembles
+// them into a Frozen.
 type Edge struct {
 	A, B UserID
 }
 
 // NormalizeEdges sorts the slice in (A, B) order and removes duplicates and
 // self-loops in place, returning the compacted slice. Shards call this on
-// their local output so BuildFrozen can assume each input slice is sorted
+// their local output so FrozenBuilder can assume each input slice is sorted
 // and internally duplicate-free.
 func NormalizeEdges(edges []Edge) []Edge {
 	for i := range edges {
@@ -43,9 +43,9 @@ func NormalizeEdges(edges []Edge) []Edge {
 
 // FrozenBuilder assembles a Frozen directly from pre-sorted shard output:
 // a first pass counts per-user degrees, a second pass fills the CSR arrays,
-// then each row is sorted. No intermediate map-based Graph exists at any
-// point, so building a multi-million-node snapshot costs two linear passes
-// over the edge lists plus a per-row sort.
+// then each row is sorted. No intermediate adjacency structure exists at
+// any point, so building a multi-million-node snapshot costs two linear
+// passes over the edge lists plus a per-row sort.
 //
 // The builder is deterministic: identical (numIDs, present set, shard lists
 // in identical order) always produce byte-identical CSR arrays.
@@ -216,8 +216,7 @@ func (f *Frozen) Equal(o *Frozen) bool {
 
 // CheckInvariants verifies the snapshot's structural invariants: monotone
 // offsets, rows sorted strictly ascending (no duplicates, no self-loops),
-// symmetry, edge-count consistency, and no adjacency on absent users. It
-// mirrors Graph.CheckInvariants for worlds that never had a mutable graph.
+// symmetry, edge-count consistency, and no adjacency on absent users.
 func (f *Frozen) CheckInvariants() error {
 	n := len(f.present)
 	if len(f.offsets) != n+1 {
@@ -292,20 +291,4 @@ func (f *Frozen) checkSymmetric() error {
 		}
 	}
 	return nil
-}
-
-// Thaw reconstructs a mutable Graph with the same users and edges. Paths
-// that still need structural mutation (temporal simulation, tests) use it to
-// escape the immutable snapshot; everything else should stay on Frozen.
-func (f *Frozen) Thaw() *Graph {
-	g := New()
-	f.ForEachUser(func(u UserID) {
-		g.AddUser(u)
-		for _, v := range f.row(u) {
-			if u < v {
-				g.AddFriendship(u, v)
-			}
-		}
-	})
-	return g
 }

@@ -21,37 +21,6 @@ type PatchStats struct {
 	Merge     time.Duration
 }
 
-// ApplyDelta builds the next CSR snapshot from f plus an edge delta. The
-// cost is proportional to the delta, not the snapshot: only rows whose edge
-// sets changed are re-emitted (each by a linear 3-way merge of the old row,
-// the sorted additions and the sorted removals), and every maximal run of
-// unchanged rows between two dirty rows is copied with a single copy() call.
-// No intermediate edge list is materialized, no row is ever re-sorted, and
-// the result is byte-identical to a from-scratch Freeze of the same graph.
-//
-// Both slices must be normalized (see NormalizeEdges). Every edge in
-// removes must exist in f; no edge in adds may exist in f (an edge removed
-// by the same delta cannot be re-added — the delta is one atomic step, not
-// a log). Endpoints of adds must be present users of f: a delta changes
-// friendships, never the population. The present set carries over by
-// reference — it is immutable and a delta never changes the population —
-// so users who lose their last friendship stay present.
-//
-// sortWorkers parallelizes the span-copy and row-merge phases; the result
-// is identical at any worker count because rows are independent and every
-// write lands at a precomputed offset.
-func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int) (*Frozen, error) {
-	next, _, err := ApplyDeltaStats(f, adds, removes, sortWorkers)
-	return next, err
-}
-
-// ApplyDeltaStats is ApplyDelta plus a phase breakdown of where the patch
-// spent its time. It allocates fresh scratch; rotation loops should hold a
-// PatchScratch and call ApplyDeltaScratch instead.
-func ApplyDeltaStats(f *Frozen, adds, removes []Edge, sortWorkers int) (*Frozen, PatchStats, error) {
-	return ApplyDeltaScratch(f, adds, removes, sortWorkers, &PatchScratch{})
-}
-
 // PatchScratch is the reusable working memory of an incremental patch: the
 // directed patch lists, the dirty-row set with its per-row subrange tables,
 // and the counting array behind the scatter sort. At metro scale these come
@@ -82,8 +51,29 @@ func growEdges(s []Edge, n int) []Edge {
 	return s[:n]
 }
 
-// ApplyDeltaScratch is ApplyDeltaStats with caller-owned scratch.
-func ApplyDeltaScratch(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratch) (*Frozen, PatchStats, error) {
+// ApplyDelta builds the next CSR snapshot from f plus an edge delta, and
+// reports where the patch spent its time. The cost is proportional to the
+// delta, not the snapshot: only rows whose edge sets changed are re-emitted
+// (each by a linear 3-way merge of the old row, the sorted additions and
+// the sorted removals), and every maximal run of unchanged rows between two
+// dirty rows is copied with a single copy() call. No intermediate edge list
+// is materialized, no row is ever re-sorted, and the result is
+// byte-identical to building the patched edge set from scratch with a
+// FrozenBuilder.
+//
+// Both slices must be normalized (see NormalizeEdges). Every edge in
+// removes must exist in f; no edge in adds may exist in f (an edge removed
+// by the same delta cannot be re-added — the delta is one atomic step, not
+// a log). Endpoints of adds must be present users of f: a delta changes
+// friendships, never the population. The present set carries over by
+// reference — it is immutable and a delta never changes the population —
+// so users who lose their last friendship stay present.
+//
+// sortWorkers parallelizes the span-copy and row-merge phases; the result
+// is identical at any worker count because rows are independent and every
+// write lands at a precomputed offset. s is the patch's working memory;
+// rotation loops keep one across steps.
+func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratch) (*Frozen, PatchStats, error) {
 	var st PatchStats
 	prep := time.Now()
 	n := len(f.present)
@@ -348,63 +338,6 @@ func parallelFor(n, workers int, fn func(i int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// ApplyDeltaRebuild is the retained full-rebuild reference implementation:
-// the surviving edges of f are streamed into a FrozenBuilder alongside the
-// additions, costing two linear passes over the whole edge set plus a
-// per-row sort. Equivalence tests pin ApplyDelta to it, and the rotation
-// benchmarks use it as the baseline the incremental path is measured
-// against. Same contract as ApplyDelta.
-func ApplyDeltaRebuild(f *Frozen, adds, removes []Edge, sortWorkers int) (*Frozen, error) {
-	n := len(f.present)
-	b := NewFrozenBuilder(n)
-	for u := 0; u < n; u++ {
-		if f.present[u] {
-			if err := b.AddUser(UserID(u)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, e := range adds {
-		if e.A < 0 || int(e.B) >= n || !f.present[e.A] || !f.present[e.B] {
-			return nil, fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
-		}
-	}
-	// Surviving edges, in one pass. Walking users ascending and each sorted
-	// row ascending (keeping only u < v) visits every undirected edge
-	// exactly once in global (A, B) order — the same order removes is
-	// sorted in, so a single merge pointer strikes the removals.
-	kept := make([]Edge, 0, f.edges-len(removes)+1)
-	ri := 0
-	for u := 0; u < n; u++ {
-		for _, v := range f.row(UserID(u)) {
-			if v <= UserID(u) {
-				continue
-			}
-			e := Edge{UserID(u), v}
-			for ri < len(removes) && edgeLess(removes[ri], e) {
-				return nil, fmt.Errorf("socialgraph: delta removes edge (%d,%d) not in snapshot", removes[ri].A, removes[ri].B)
-			}
-			if ri < len(removes) && removes[ri] == e {
-				ri++
-				continue
-			}
-			kept = append(kept, e)
-		}
-	}
-	if ri != len(removes) {
-		return nil, fmt.Errorf("socialgraph: delta removes edge (%d,%d) not in snapshot", removes[ri].A, removes[ri].B)
-	}
-	if err := b.AddShard(kept); err != nil {
-		return nil, err
-	}
-	if err := b.AddShard(adds); err != nil {
-		return nil, err
-	}
-	// Build also rejects any add that duplicates a kept edge (the
-	// cross-shard duplicate check), enforcing the adds-are-new contract.
-	return b.Build(sortWorkers)
 }
 
 // edgeLess orders edges by (A, B) — NormalizeEdges order.

@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestApplyDeltaMatchesMutableRebuild(t *testing.T) {
 		adds = NormalizeEdges(adds)
 		removes = NormalizeEdges(removes)
 
-		next, err := ApplyDelta(f, adds, removes, workers)
+		next, _, err := ApplyDelta(f, adds, removes, workers, new(PatchScratch))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,18 +70,18 @@ func TestApplyDeltaRejectsBadDeltas(t *testing.T) {
 	g.AddFriendship(1, 2)
 	f := g.Freeze()
 
-	if _, err := ApplyDelta(f, nil, []Edge{{0, 2}}, 1); err == nil {
+	if _, _, err := ApplyDelta(f, nil, []Edge{{0, 2}}, 1, new(PatchScratch)); err == nil {
 		t.Fatal("removing a non-existent edge did not fail")
 	}
-	if _, err := ApplyDelta(f, []Edge{{0, 1}}, nil, 1); err == nil {
+	if _, _, err := ApplyDelta(f, []Edge{{0, 1}}, nil, 1, new(PatchScratch)); err == nil {
 		t.Fatal("re-adding an existing edge did not fail")
 	}
-	if _, err := ApplyDelta(f, []Edge{{3, 9}}, nil, 1); err == nil {
+	if _, _, err := ApplyDelta(f, []Edge{{3, 9}}, nil, 1, new(PatchScratch)); err == nil {
 		t.Fatal("adding an edge outside the ID space did not fail")
 	}
 
 	// The empty delta is the identity.
-	same, err := ApplyDelta(f, nil, nil, 1)
+	same, _, err := ApplyDelta(f, nil, nil, 1, new(PatchScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,10 @@ func TestApplyDeltaRejectsBadDeltas(t *testing.T) {
 
 	// Unnormalized patch lists violate the contract and must fail loudly —
 	// the incremental merge depends on sorted inputs.
-	if _, err := ApplyDelta(f, []Edge{{2, 0}}, nil, 1); err == nil {
+	if _, _, err := ApplyDelta(f, []Edge{{2, 0}}, nil, 1, new(PatchScratch)); err == nil {
 		t.Fatal("reversed add edge did not fail")
 	}
-	if _, err := ApplyDelta(f, []Edge{{2, 3}, {0, 2}}, nil, 1); err == nil {
+	if _, _, err := ApplyDelta(f, []Edge{{2, 3}, {0, 2}}, nil, 1, new(PatchScratch)); err == nil {
 		t.Fatal("unsorted adds did not fail")
 	}
 }
@@ -135,7 +136,7 @@ func TestApplyDeltaChainByteIdentical(t *testing.T) {
 			// earlier add of the same pair after AreFriends was checked; the
 			// dedup above handles it. Removes come from distinct row slots.
 
-			next, st, err := ApplyDeltaStats(cur, adds, removes, workers)
+			next, st, err := ApplyDelta(cur, adds, removes, workers, new(PatchScratch))
 			if err != nil {
 				t.Fatalf("workers=%d step=%d: %v", workers, step, err)
 			}
@@ -179,4 +180,59 @@ func TestApplyDeltaChainByteIdentical(t *testing.T) {
 			cur = next
 		}
 	}
+}
+
+// ApplyDeltaRebuild is the full-rebuild reference for ApplyDelta: the
+// surviving edges of f are streamed into a FrozenBuilder alongside the
+// additions, costing two linear passes over the whole edge set plus a
+// per-row sort. Same contract as ApplyDelta.
+func ApplyDeltaRebuild(f *Frozen, adds, removes []Edge, sortWorkers int) (*Frozen, error) {
+	n := len(f.present)
+	b := NewFrozenBuilder(n)
+	for u := 0; u < n; u++ {
+		if f.present[u] {
+			if err := b.AddUser(UserID(u)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, e := range adds {
+		if e.A < 0 || int(e.B) >= n || !f.present[e.A] || !f.present[e.B] {
+			return nil, fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
+		}
+	}
+	// Surviving edges, in one pass. Walking users ascending and each sorted
+	// row ascending (keeping only u < v) visits every undirected edge
+	// exactly once in global (A, B) order — the same order removes is
+	// sorted in, so a single merge pointer strikes the removals.
+	kept := make([]Edge, 0, f.edges-len(removes)+1)
+	ri := 0
+	for u := 0; u < n; u++ {
+		for _, v := range f.row(UserID(u)) {
+			if v <= UserID(u) {
+				continue
+			}
+			e := Edge{UserID(u), v}
+			for ri < len(removes) && edgeLess(removes[ri], e) {
+				return nil, fmt.Errorf("socialgraph: delta removes edge (%d,%d) not in snapshot", removes[ri].A, removes[ri].B)
+			}
+			if ri < len(removes) && removes[ri] == e {
+				ri++
+				continue
+			}
+			kept = append(kept, e)
+		}
+	}
+	if ri != len(removes) {
+		return nil, fmt.Errorf("socialgraph: delta removes edge (%d,%d) not in snapshot", removes[ri].A, removes[ri].B)
+	}
+	if err := b.AddShard(kept); err != nil {
+		return nil, err
+	}
+	if err := b.AddShard(adds); err != nil {
+		return nil, err
+	}
+	// Build also rejects any add that duplicates a kept edge (the
+	// cross-shard duplicate check), enforcing the adds-are-new contract.
+	return b.Build(sortWorkers)
 }

@@ -2,17 +2,19 @@ package socialgraph
 
 import "sort"
 
-// Frozen is an immutable compressed-sparse-row (CSR) snapshot of a Graph.
-// Adjacency lives in one flat, ID-sorted slice per row, so the read plane
-// of the platform can serve friend lookups with zero allocation, cache-
-// friendly scans and no locking: a Frozen is safe for unlimited concurrent
-// readers by construction, because nothing can mutate it.
+// Frozen is the friendship graph: an immutable compressed-sparse-row (CSR)
+// snapshot. Adjacency lives in one flat, ID-sorted slice per row, so the
+// read plane of the platform can serve friend lookups with zero
+// allocation, cache-friendly scans and no locking: a Frozen is safe for
+// unlimited concurrent readers by construction, because nothing can mutate
+// it.
 //
-// The mutable Graph remains the construction-time representation (worldgen
-// builds it edge by edge); Freeze is the hand-off point between the two.
+// A FrozenBuilder assembles the first snapshot of a world from its edge
+// lists, DecodeFrozen reloads one, and ApplyDelta derives the next
+// snapshot from an edge delta.
 type Frozen struct {
 	// offsets[u]..offsets[u+1] indexes u's row in adj. len(offsets) is
-	// maxID+2 so the slice expression needs no bounds special-casing.
+	// NumIDs+1 so the slice expression needs no bounds special-casing.
 	offsets []int64
 	// adj holds every directed adjacency entry (2 per friendship), each
 	// row sorted ascending.
@@ -22,47 +24,6 @@ type Frozen struct {
 	present []bool
 	users   int
 	edges   int
-}
-
-// Freeze snapshots the graph into CSR form. The graph may keep mutating
-// afterwards; the snapshot is unaffected. Rows are sorted ascending, so
-// Friends/ForEachFriend iterate in the same deterministic order that
-// Graph.Friends returns.
-func (g *Graph) Freeze() *Frozen {
-	maxID := -1
-	for u := range g.adj {
-		if int(u) > maxID {
-			maxID = int(u)
-		}
-	}
-	n := maxID + 1
-	f := &Frozen{
-		offsets: make([]int64, n+1),
-		present: make([]bool, n),
-		users:   len(g.adj),
-		edges:   g.edges,
-	}
-	for u, set := range g.adj {
-		f.present[u] = true
-		f.offsets[int(u)+1] = int64(len(set))
-	}
-	for i := 0; i < n; i++ {
-		f.offsets[i+1] += f.offsets[i]
-	}
-	f.adj = make([]UserID, f.offsets[n])
-	fill := make([]int64, n)
-	for u, set := range g.adj {
-		base := f.offsets[u]
-		for v := range set {
-			f.adj[base+fill[u]] = v
-			fill[u]++
-		}
-	}
-	for u := 0; u < n; u++ {
-		row := f.adj[f.offsets[u]:f.offsets[u+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
-	return f
 }
 
 // row returns u's adjacency slice, or nil for unknown IDs.
@@ -91,9 +52,9 @@ func (f *Frozen) NumIDs() int { return len(f.present) }
 // NumEdges returns the number of friendships.
 func (f *Frozen) NumEdges() int { return f.edges }
 
-// Friends returns u's friends in ascending ID order. Unlike Graph.Friends
-// the slice is a view into the shared snapshot — allocation-free, but the
-// caller MUST NOT modify it.
+// Friends returns u's friends in ascending ID order. The slice is a view
+// into the shared snapshot — allocation-free, but the caller MUST NOT
+// modify it.
 func (f *Frozen) Friends(u UserID) []UserID { return f.row(u) }
 
 // ForEachFriend calls fn for every friend of u in ascending ID order,
@@ -135,8 +96,10 @@ func (f *Frozen) MutualFriends(a, b UserID) int {
 	return n
 }
 
-// Jaccard returns the Jaccard index of the two users' friend sets (see
-// Graph.Jaccard for the §6.1 role). Returns 0 when both sets are empty.
+// Jaccard returns the Jaccard index |F(a) ∩ F(b)| / |F(a) ∪ F(b)| of the two
+// users' friend sets. Section 6.1 of the paper uses this to infer hidden
+// friendship links between two registered minors whose friend lists are both
+// invisible to strangers. Returns 0 when both sets are empty.
 func (f *Frozen) Jaccard(a, b UserID) float64 {
 	inter := f.MutualFriends(a, b)
 	union := f.Degree(a) + f.Degree(b) - inter

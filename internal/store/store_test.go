@@ -126,9 +126,9 @@ func TestCachedClientFriendAssemblyAndHit(t *testing.T) {
 	var degree int
 	for _, person := range w.People {
 		if person.HasAccount && !person.RegisteredMinorAt(w.Now) &&
-			person.Privacy.FriendListPublic && w.Graph.Degree(person.ID) > 45 {
+			person.Privacy.FriendListPublic && w.Frozen().Degree(person.ID) > 45 {
 			id, _ = p.PublicIDOf(person.ID)
-			degree = w.Graph.Degree(person.ID)
+			degree = w.Frozen().Degree(person.ID)
 			break
 		}
 	}
@@ -272,9 +272,9 @@ func TestCachedClientResumesPartialWalk(t *testing.T) {
 	var degree int
 	for _, person := range w.People {
 		if person.HasAccount && !person.RegisteredMinorAt(w.Now) &&
-			person.Privacy.FriendListPublic && w.Graph.Degree(person.ID) > 45 {
+			person.Privacy.FriendListPublic && w.Frozen().Degree(person.ID) > 45 {
 			id, _ = p.PublicIDOf(person.ID)
-			degree = w.Graph.Degree(person.ID)
+			degree = w.Frozen().Degree(person.ID)
 			break
 		}
 	}

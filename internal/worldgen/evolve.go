@@ -90,7 +90,7 @@ type Delta struct {
 	// DirtyCities lists, sorted, city names (as stored on person records)
 	// whose city-index membership may have changed.
 	DirtyCities []string
-	// Patch is the CSR patch phase breakdown from ApplyDeltaStats.
+	// Patch is the CSR patch phase breakdown from ApplyDelta.
 	Patch socialgraph.PatchStats
 	// Role and profile transitions.
 	Graduated      int
@@ -148,15 +148,13 @@ func Evolve(w *World, cfg EvolveConfig, epoch, workers int) (*Delta, error) {
 // Step advances the world by one simulated year. The next CSR snapshot is
 // built incrementally with socialgraph.ApplyDelta — cost proportional to
 // the edge delta, not the world — so after Step returns, w.Frozen() is the
-// new epoch's snapshot without a full re-freeze. Worlds with a mutable
-// graph keep it in sync through Mutate; frozen-only worlds (GenerateParallel
-// output, binary snapshots) evolve on the CSR alone.
+// new epoch's snapshot without a full rebuild.
 //
 // Determinism: every decision draws from a stream keyed by
 // (seed, "evolve/<epoch>/<phase>", personID) via sim.StreamN, never from a
 // shared sequential stream, so the result is a pure function of
-// (world, config, epoch) — bit-identical at any worker count, frozen-only
-// or not, fresh Evolver or reused.
+// (world, config, epoch) — bit-identical at any worker count, fresh
+// Evolver or reused.
 func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	cfg := ev.Cfg
 	workers := ev.Workers
@@ -306,23 +304,10 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	d.DirtySchools = ev.schools
 	d.DirtyCities = ev.cities
 
-	// Keep the mutable control plane in sync when one exists (through
-	// Mutate, so the stale memoized snapshot is invalidated). Frozen-only
-	// worlds skip this: the CSR patch below is the whole apply.
-	if w.Graph != nil {
-		if err := w.Mutate(func(g *socialgraph.Graph) error {
-			for _, e := range d.Removed {
-				g.RemoveFriendship(e.A, e.B)
-			}
-			return addAll(g, d.Added)
-		}); err != nil {
-			return nil, err
-		}
-	}
 	// Patch the pre-step CSR into the next snapshot — dirty rows merged,
 	// clean spans copied wholesale, nothing re-sorted, and the patch's
 	// working memory reused from the previous step.
-	next, st, err := socialgraph.ApplyDeltaScratch(prev, d.Added, d.Removed, workers, &ev.patch)
+	next, st, err := socialgraph.ApplyDelta(prev, d.Added, d.Removed, workers, &ev.patch)
 	if err != nil {
 		return nil, fmt.Errorf("worldgen: evolve epoch %d: %w", epoch, err)
 	}
@@ -376,15 +361,6 @@ func (ev *Evolver) markCity(c string) {
 		ev.citySet[c] = true
 		ev.cities = append(ev.cities, c)
 	}
-}
-
-func addAll(g *socialgraph.Graph, edges []socialgraph.Edge) error {
-	for _, e := range edges {
-		if err := g.AddFriendship(e.A, e.B); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func normEdge(a, b socialgraph.UserID) socialgraph.Edge {

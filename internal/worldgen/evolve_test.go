@@ -7,132 +7,6 @@ import (
 	"hsprofiler/internal/socialgraph"
 )
 
-// TestFrozenInvalidate is the regression test for the stale-memoization
-// hazard: Frozen used to CompareAndSwap(nil, …) once and serve that first
-// freeze forever, so a mutation after the first Frozen call was invisible
-// to every later caller.
-func TestFrozenInvalidate(t *testing.T) {
-	w, err := Generate(TinyConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := w.Frozen()
-	// Find two account holders who are not friends.
-	var a, b socialgraph.UserID = -1, -1
-outer:
-	for _, p := range w.People {
-		if !p.HasAccount {
-			continue
-		}
-		for _, q := range w.People {
-			if q.HasAccount && q.ID != p.ID && !w.Graph.AreFriends(p.ID, q.ID) {
-				a, b = p.ID, q.ID
-				break outer
-			}
-		}
-	}
-	if a < 0 {
-		t.Fatal("no non-adjacent account pair in tiny world")
-	}
-	if err := w.Mutate(func(g *socialgraph.Graph) error {
-		return g.AddFriendship(a, b)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after := w.Frozen()
-	if after == before || after.NumEdges() != before.NumEdges()+1 {
-		t.Fatalf("post-mutation freeze served stale snapshot: %d edges before, %d after",
-			before.NumEdges(), after.NumEdges())
-	}
-	if !after.AreFriends(a, b) {
-		t.Fatal("new friendship missing from re-frozen snapshot")
-	}
-	// The old snapshot is immutable: in-flight readers keep a consistent view.
-	if before.AreFriends(a, b) {
-		t.Fatal("pre-mutation snapshot mutated in place")
-	}
-}
-
-// TestMutateRejectsFrozenOnly: frozen-only worlds (binary snapshots,
-// parallel generation) have no mutable graph; Mutate must fail loudly
-// instead of panicking. Evolve, by contrast, works on the CSR alone.
-func TestMutateRejectsFrozenOnly(t *testing.T) {
-	w, err := Generate(TinyConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := &World{Seed: w.Seed, Now: w.Now, Schools: w.Schools, People: w.People}
-	fw.SetFrozen(w.Frozen())
-	if err := fw.Mutate(func(*socialgraph.Graph) error { return nil }); err == nil {
-		t.Fatal("Mutate on frozen-only world did not fail")
-	}
-	// Invalidate must be a no-op rather than bricking the only snapshot.
-	fw.Invalidate()
-	if fw.Frozen() == nil {
-		t.Fatal("Invalidate dropped a frozen-only world's snapshot")
-	}
-}
-
-// frozenClone deep-copies people and schools but drops the mutable graph,
-// producing the frozen-only shape GenerateParallel and binary snapshots
-// yield.
-func frozenClone(w *World) *World {
-	fw := &World{Seed: w.Seed, Now: w.Now}
-	fw.Schools = make([]*School, len(w.Schools))
-	for i, s := range w.Schools {
-		cs := *s
-		fw.Schools[i] = &cs
-	}
-	fw.People = make([]*Person, len(w.People))
-	for i, p := range w.People {
-		cp := *p
-		fw.People[i] = &cp
-	}
-	fw.SetFrozen(w.Frozen())
-	return fw
-}
-
-// TestEvolveFrozenOnlyMatchesMutable: evolution must be bit-identical with
-// and without a mutable graph — frozen-only worlds (metro scale, binary
-// snapshots) evolve purely on the incremental CSR patch.
-func TestEvolveFrozenOnlyMatchesMutable(t *testing.T) {
-	w, err := Generate(TinyConfig(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := frozenClone(w)
-	for e := 1; e <= 3; e++ {
-		dm, err := Evolve(w, DefaultEvolveConfig(), e, 2)
-		if err != nil {
-			t.Fatalf("mutable epoch %d: %v", e, err)
-		}
-		df, err := Evolve(fw, DefaultEvolveConfig(), e, 2)
-		if err != nil {
-			t.Fatalf("frozen-only epoch %d: %v", e, err)
-		}
-		if len(dm.Added) != len(df.Added) || len(dm.Removed) != len(df.Removed) {
-			t.Fatalf("epoch %d: delta sizes diverge", e)
-		}
-		if !reflect.DeepEqual(dm.DirtyUsers, df.DirtyUsers) ||
-			!reflect.DeepEqual(dm.DirtySchools, df.DirtySchools) ||
-			!reflect.DeepEqual(dm.DirtyCities, df.DirtyCities) {
-			t.Fatalf("epoch %d: dirty sets diverge", e)
-		}
-		if !reflect.DeepEqual(w.People, fw.People) {
-			t.Fatalf("epoch %d: people diverge", e)
-		}
-		if !reflect.DeepEqual(w.Schools, fw.Schools) {
-			t.Fatalf("epoch %d: schools diverge", e)
-		}
-		if !w.Frozen().Equal(fw.Frozen()) {
-			t.Fatalf("epoch %d: snapshots diverge", e)
-		}
-	}
-	if err := fw.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEvolverReuseMatchesFresh: a single Evolver reused across steps (the
 // scratch-recycling fast path) must match throwaway per-step Evolve calls
 // bit for bit.
@@ -291,12 +165,22 @@ func TestEvolveDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEvolveInvariantsAndDynamics: the evolved world keeps every
 // structural invariant, the clock and cohorts advance together, and the
-// incremental snapshot matches a from-scratch freeze of the mutated graph.
+// incremental snapshot equals a from-scratch build of the generated edge
+// set with every year's delta applied.
 func TestEvolveInvariantsAndDynamics(t *testing.T) {
 	w, err := Generate(TinyConfig(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	edges := make(map[socialgraph.Edge]bool)
+	f0 := w.Frozen()
+	f0.ForEachUser(func(u socialgraph.UserID) {
+		f0.ForEachFriend(u, func(v socialgraph.UserID) {
+			if u < v {
+				edges[socialgraph.Edge{A: u, B: v}] = true
+			}
+		})
+	})
 	year0 := w.Now.Year
 	students0 := w.CountRole(RoleStudent)
 	alumni0 := w.CountRole(RoleAlumnus)
@@ -326,10 +210,44 @@ func TestEvolveInvariantsAndDynamics(t *testing.T) {
 	if w.CountRole(RoleStudent) == students0 && deltas[0].TransferredOut+deltas[0].TransferredIn == 0 {
 		t.Fatal("no churn at default rates")
 	}
-	// The incremental ApplyDelta snapshot must equal a full re-freeze of
-	// the mutated mutable graph.
-	if !w.Frozen().Equal(w.Graph.Freeze()) {
-		t.Fatal("incremental snapshot diverges from full freeze")
+	// The rebuild oracle: patch the plain edge set with each year's delta,
+	// build it from scratch, and compare with the incrementally patched
+	// snapshot.
+	for _, d := range deltas {
+		for _, e := range d.Removed {
+			if !edges[e] {
+				t.Fatalf("epoch %d removes absent edge %v", d.Epoch, e)
+			}
+			delete(edges, e)
+		}
+		for _, e := range d.Added {
+			if edges[e] {
+				t.Fatalf("epoch %d adds existing edge %v", d.Epoch, e)
+			}
+			edges[e] = true
+		}
+	}
+	fb := socialgraph.NewFrozenBuilder(len(w.People))
+	for _, p := range w.People {
+		if p.HasAccount {
+			if err := fb.AddUser(p.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	list := make([]socialgraph.Edge, 0, len(edges))
+	for e := range edges {
+		list = append(list, e)
+	}
+	if err := fb.AddShard(socialgraph.NormalizeEdges(list)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fb.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.Frozen().Equal(want) {
+		t.Fatal("incremental snapshot diverges from a from-scratch build of the patched edge set")
 	}
 }
 

@@ -5,20 +5,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"hsprofiler/internal/sim"
 	"hsprofiler/internal/socialgraph"
 )
 
 // FuzzReadSnapshot hardens the binary loader against hostile or damaged
-// snapshot files: any input must produce either a valid world or a typed
-// error (ErrSnapshot / invariant failure) — never a panic, and never an
-// allocation driven by a lying length prefix. The seed corpus applies the
-// fault injector's body-mangling repertoire (truncate mid-body, garble with
-// trailing junk, bit rot) plus version skew to a small valid snapshot.
+// snapshot files: any input must produce either a valid world or an error
+// wrapping ErrSnapshot — never a panic, and never an allocation driven by a
+// lying length prefix. The seed corpus applies the fault injector's
+// body-mangling repertoire (truncate mid-body, garble with trailing junk,
+// bit rot) plus version skew to a small valid snapshot.
 func FuzzReadSnapshot(f *testing.F) {
 	w, err := GenerateParallel(varyConfig(1), 1, 2)
 	if err != nil {
@@ -59,26 +61,80 @@ func FuzzReadSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			if got != nil {
-				t.Fatal("world returned alongside error")
-			}
-			return
-		}
-		// Accepted input must be a fully valid world: positional people,
-		// coherent graph, invariants intact.
-		if got == nil {
-			t.Fatal("nil world without error")
-		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("accepted world violates invariants: %v", err)
-		}
+		checkDecoded(t, got, err)
 	})
 }
 
+// FuzzReadJSON holds the JSON reader to FuzzReadSnapshot's property. The
+// seed corpus is a valid snapshot plus the hostile shapes
+// TestReadJSONRejectsGarbage pins: endpoints outside the people, an edge to
+// a person without an account, a self-loop, null records.
+func FuzzReadJSON(f *testing.F) {
+	w := fuzzWorld(f)
+	var buf bytes.Buffer
+	if err := w.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, tc := range hostileJSON(f, w) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadJSON(bytes.NewReader(data))
+		checkDecoded(t, got, err)
+	})
+}
+
+// fuzzWorld is a valid world of three people, small enough that the
+// fuzzer's minimizer spends milliseconds, not the whole run, on each new
+// input: a student and an outside friend with accounts, and the student's
+// parent without one.
+func fuzzWorld(t testing.TB) *World {
+	t.Helper()
+	teen := sim.Date{Year: 1996, Month: 5, Day: 2}
+	adult := sim.Date{Year: 1970, Month: 1, Day: 1}
+	w := &World{
+		Seed:    1,
+		Now:     sim.Date{Year: 2012, Month: 4, Day: 1},
+		Schools: []*School{{Name: "Fuzz High", City: "Fuzzton", GradYears: [4]int{2012, 2013, 2014, 2015}}},
+		People: []*Person{
+			{ID: 0, Role: RoleStudent, SchoolID: 0, GradYear: 2014, TrueBirth: teen, HasAccount: true, RegisteredBirth: teen},
+			{ID: 1, Role: RoleOutside, SchoolID: -1, TrueBirth: adult, HasAccount: true, RegisteredBirth: adult},
+			{ID: 2, Role: RoleParent, SchoolID: -1, TrueBirth: adult, ChildIDs: []socialgraph.UserID{0}},
+		},
+	}
+	if err := w.buildGraph(1, []socialgraph.Edge{{A: 0, B: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// checkDecoded is the snapshot readers' fuzz property: an error wraps
+// ErrSnapshot and comes without a world; an accepted input is a fully valid
+// world — positional people, coherent graph, invariants intact.
+func checkDecoded(t *testing.T, got *World, err error) {
+	t.Helper()
+	if err != nil {
+		if got != nil {
+			t.Fatal("world returned alongside error")
+		}
+		if !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("error not typed ErrSnapshot: %v", err)
+		}
+		return
+	}
+	if got == nil {
+		t.Fatal("nil world without error")
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("accepted world violates invariants: %v", err)
+	}
+}
+
 // TestReadBinaryErrorsAreTyped pins the error contract the fuzz target
-// relies on: decode failures wrap ErrSnapshot so callers can distinguish
-// corrupt files from I/O problems.
+// relies on: decode failures, and decoded worlds that fail their
+// invariants, wrap ErrSnapshot so callers can distinguish corrupt files
+// from I/O problems.
 func TestReadBinaryErrorsAreTyped(t *testing.T) {
 	w, err := GenerateParallel(TinyConfig(), 5, 2)
 	if err != nil {
@@ -88,7 +144,20 @@ func TestReadBinaryErrorsAreTyped(t *testing.T) {
 	if err := w.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := bytes.Clone(buf.Bytes())
+	// A well-formed snapshot of an incoherent world: an account registered
+	// with a birth date later than the true one.
+	for _, p := range w.People {
+		if p.HasAccount {
+			p.RegisteredBirth = p.TrueBirth.AddYears(1)
+			break
+		}
+	}
+	buf.Reset()
+	if err := w.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	incoherent := buf.Bytes()
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -98,6 +167,7 @@ func TestReadBinaryErrorsAreTyped(t *testing.T) {
 		{"version skew", append(append([]byte(nil), valid[:4]...), append([]byte{9}, valid[5:]...)...)},
 		{"truncated", valid[:len(valid)/3]},
 		{"checksum", flipByte(valid, len(valid)/2)},
+		{"invariants", incoherent},
 	} {
 		_, err := ReadBinary(bytes.NewReader(tc.data))
 		if err == nil {
@@ -117,12 +187,12 @@ func flipByte(b []byte, i int) []byte {
 	return out
 }
 
-// TestLyingLengthsBoundAllocation holds the decoder to the promise in
-// FuzzReadSnapshot: a length prefix that claims more than the input holds
+// TestLyingLengthsBoundAllocation holds the decoders to the promise in
+// FuzzReadSnapshot: a length or ID that claims more than the input holds
 // fails with a typed error and drives no allocation beyond a small multiple
-// of the input, whether the snapshot comes from a reader or a file. The two
-// lies are a section header claiming 2^40 payload bytes and a graph payload,
-// with a valid checksum, claiming 2^37 edges.
+// of the input, whether the snapshot comes from a reader or a file. The
+// lies are a section header claiming 2^40 payload bytes, a graph payload,
+// with a valid checksum, claiming 2^37 edges, and a JSON edge to user 2^24.
 func TestLyingLengthsBoundAllocation(t *testing.T) {
 	w, err := GenerateParallel(TinyConfig(), 5, 2)
 	if err != nil {
@@ -162,14 +232,20 @@ func TestLyingLengthsBoundAllocation(t *testing.T) {
 		hugeGraph = binary.LittleEndian.AppendUint32(hugeGraph, crc32.ChecksumIEEE(payload))
 	}
 
+	hugeJSON := mutatedJSON(t, w, func(s *snapshot) {
+		s.Edges = append(s.Edges, [2]socialgraph.UserID{1, 1 << 24})
+	})
+
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name  string
 		data  []byte
+		read  func(io.Reader) (*World, error)
 		graph bool
 	}{
-		{"section claims 2^40 bytes", hugeSection, false},
-		{"graph claims 2^37 edges", hugeGraph, true},
+		{"section claims 2^40 bytes", hugeSection, ReadBinary, false},
+		{"graph claims 2^37 edges", hugeGraph, ReadBinary, true},
+		{"JSON edge to user 2^24", hugeJSON, ReadJSON, false},
 	} {
 		path := filepath.Join(dir, "lying.bin")
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -179,7 +255,7 @@ func TestLyingLengthsBoundAllocation(t *testing.T) {
 			name string
 			read func() (*World, error)
 		}{
-			{"reader", func() (*World, error) { return ReadBinary(bytes.NewReader(tc.data)) }},
+			{"reader", func() (*World, error) { return tc.read(bytes.NewReader(tc.data)) }},
 			{"file", func() (*World, error) { return ReadSnapshotFile(path) }},
 		} {
 			var before, after runtime.MemStats

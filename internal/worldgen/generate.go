@@ -20,9 +20,8 @@ func Generate(cfg Config, seed uint64) (*World, error) {
 		cfg: cfg,
 		rng: sim.New(seed),
 		w: &World{
-			Seed:  seed,
-			Now:   cfg.Now,
-			Graph: socialgraph.New(),
+			Seed: seed,
+			Now:  cfg.Now,
 		},
 	}
 	b.ng = namegen.New(b.rng)
@@ -40,13 +39,9 @@ func Generate(cfg Config, seed uint64) (*World, error) {
 	b.register()
 	b.assignPrivacy()
 	b.genFriendships()
-	if err := b.w.CheckInvariants(); err != nil {
+	if err := b.w.buildGraph(1, socialgraph.NormalizeEdges(b.edges)); err != nil {
 		return nil, err
 	}
-	// Emit the frozen CSR snapshot as part of generation: the graph is
-	// structurally final here, and every consumer (platform read plane,
-	// stats, persistence) reads the immutable view from now on.
-	b.w.Frozen()
 	return b.w, nil
 }
 
@@ -68,6 +63,16 @@ type builder struct {
 	parents          []socialgraph.UserID
 	poolTeens        []socialgraph.UserID
 	poolAdults       []socialgraph.UserID
+
+	// edges collects friendships as they are drawn, repeats included;
+	// Generate normalizes them once at the end. Nothing reads the graph
+	// while it is being generated.
+	edges []socialgraph.Edge
+}
+
+// befriend records a friendship between two account holders.
+func (b *builder) befriend(u, v socialgraph.UserID) {
+	b.edges = append(b.edges, socialgraph.Edge{A: u, B: v})
 }
 
 func (b *builder) genCities() {
@@ -407,7 +412,6 @@ func (b *builder) register() {
 		case RoleTeacher:
 			b.teachersBySchool[p.SchoolID] = append(b.teachersBySchool[p.SchoolID], p.ID)
 		}
-		b.w.Graph.AddUser(p.ID)
 	}
 }
 
@@ -538,7 +542,7 @@ func (b *builder) genSchoolFriendships(si int) {
 			for _, a := range members {
 				k := rng.Poisson(mean)
 				for j := 0; j < k; j++ {
-					b.w.Graph.AddFriendship(a, students[rng.Intn(len(students))])
+					b.befriend(a, students[rng.Intn(len(students))])
 				}
 			}
 		}
@@ -565,7 +569,7 @@ func (b *builder) genSchoolFriendships(si int) {
 		}
 		k := rng.Poisson(mean)
 		for j := 0; j < k; j++ {
-			b.w.Graph.AddFriendship(id, target[rng.Intn(len(target))])
+			b.befriend(id, target[rng.Intn(len(target))])
 		}
 	}
 
@@ -573,7 +577,7 @@ func (b *builder) genSchoolFriendships(si int) {
 	for _, id := range b.teachersBySchool[si] {
 		k := rng.Poisson(fc.TeacherStudentDegree)
 		for j := 0; j < k && len(students) > 0; j++ {
-			b.w.Graph.AddFriendship(id, students[rng.Intn(len(students))])
+			b.befriend(id, students[rng.Intn(len(students))])
 		}
 	}
 
@@ -608,7 +612,7 @@ func (b *builder) outsideEdges(rng *sim.Rand, id socialgraph.UserID, deg int, te
 		if len(pool) == 0 {
 			return
 		}
-		b.w.Graph.AddFriendship(id, pool[rng.Intn(len(pool))])
+		b.befriend(id, pool[rng.Intn(len(pool))])
 	}
 }
 
@@ -628,7 +632,7 @@ func (b *builder) pairEdges(rng *sim.Rand, members []socialgraph.UserID, avgDegr
 		for j := i + 1; j < n; j++ {
 			p := base * wi * b.w.People[members[j]].Sociality
 			if rng.Bool(p) {
-				b.w.Graph.AddFriendship(members[i], members[j])
+				b.befriend(members[i], members[j])
 			}
 		}
 	}
@@ -645,7 +649,7 @@ func (b *builder) bipartitePairEdges(rng *sim.Rand, ga, gb []socialgraph.UserID,
 		wu := b.w.People[u].Sociality
 		for _, v := range gb {
 			if rng.Bool(base * wu * b.w.People[v].Sociality) {
-				b.w.Graph.AddFriendship(u, v)
+				b.befriend(u, v)
 			}
 		}
 	}
@@ -663,7 +667,7 @@ func (b *builder) genParentFriendships() {
 			if child.HasAccount && child.SchoolID >= 0 {
 				prob := b.cfg.Schools[child.SchoolID].Friendship.ParentFriendProb
 				if rng.Bool(prob) {
-					b.w.Graph.AddFriendship(pid, cid)
+					b.befriend(pid, cid)
 				}
 			}
 		}
@@ -672,7 +676,7 @@ func (b *builder) genParentFriendships() {
 		for j := 0; j < k; j++ {
 			other := b.parents[rng.Intn(len(b.parents))]
 			if other != pid && b.w.People[other].HasAccount {
-				b.w.Graph.AddFriendship(pid, other)
+				b.befriend(pid, other)
 			}
 		}
 	}

@@ -29,8 +29,8 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("person %d differs between identically-seeded worlds", i)
 		}
 	}
-	if a.Graph.NumEdges() != b.Graph.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", a.Graph.NumEdges(), b.Graph.NumEdges())
+	if a.Frozen().NumEdges() != b.Frozen().NumEdges() {
+		t.Fatalf("edge counts differ: %d vs %d", a.Frozen().NumEdges(), b.Frozen().NumEdges())
 	}
 }
 
@@ -158,13 +158,13 @@ func TestMinorsRegisteredAsAdultsExist(t *testing.T) {
 
 func TestFriendshipsOnlyBetweenAccountHolders(t *testing.T) {
 	w := tinyWorld(t, 19)
-	for _, u := range w.Graph.Users() {
+	for _, u := range w.Frozen().Users() {
 		p := w.Person(u)
 		if p == nil {
 			t.Fatalf("graph user %d not a person", u)
 		}
-		if !p.HasAccount && w.Graph.Degree(u) > 0 {
-			t.Fatalf("accountless person %d has %d friends", u, w.Graph.Degree(u))
+		if !p.HasAccount && w.Frozen().Degree(u) > 0 {
+			t.Fatalf("accountless person %d has %d friends", u, w.Frozen().Degree(u))
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestStudentsHaveClassmateFriends(t *testing.T) {
 	inCohortTotal, n := 0, 0
 	for _, p := range w.RosterOnOSN(0) {
 		n++
-		w.Graph.ForEachFriend(p.ID, func(f socialgraph.UserID) {
+		w.Frozen().ForEachFriend(p.ID, func(f socialgraph.UserID) {
 			q := w.Person(f)
 			if q.Role == RoleStudent && q.SchoolID == p.SchoolID && q.GradYear == p.GradYear {
 				inCohortTotal++

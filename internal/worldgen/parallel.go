@@ -11,9 +11,10 @@ import (
 // GenerateParallel builds a world with a sharded, streaming pipeline. The
 // population is partitioned into shards whose ID ranges are a pure function
 // of the config, each shard draws from its own splittable PRNG stream, and
-// edges are assembled directly into the CSR snapshot (no intermediate
-// map-based graph). Output is bit-identical at every worker count, including
-// workers == 1, because nothing a shard computes depends on scheduling:
+// the shards' edge lists are assembled into the CSR snapshot by the same
+// FrozenBuilder path Generate uses. Output is bit-identical at every worker
+// count, including workers == 1, because nothing a shard computes depends
+// on scheduling:
 //
 //   - shard boundaries come from planLayout(cfg), closed-form in the config;
 //   - each shard's randomness comes from root.StreamN(label, index), a pure
@@ -26,8 +27,7 @@ import (
 // from sequential Generate's (disjoint stream labels), with the same
 // distributions; the golden-fingerprint tests pin both families.
 //
-// workers <= 0 means one worker. The mutable World.Graph is nil on the
-// returned world — consumers read the frozen CSR snapshot.
+// workers <= 0 means one worker.
 func GenerateParallel(cfg Config, seed uint64, workers int) (*World, error) {
 	if len(cfg.Schools) == 0 {
 		return nil, fmt.Errorf("worldgen: config has no schools")
@@ -81,25 +81,7 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*World, error) {
 	})
 
 	// Phase 4: merge into the CSR snapshot in fixed shard order.
-	fb := socialgraph.NewFrozenBuilder(lay.total)
-	for _, p := range sw.w.People {
-		if p.HasAccount {
-			if err := fb.AddUser(p.ID); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, shard := range edgeShards {
-		if err := fb.AddShard(shard); err != nil {
-			return nil, err
-		}
-	}
-	frozen, err := fb.Build(workers)
-	if err != nil {
-		return nil, err
-	}
-	sw.w.SetFrozen(frozen)
-	if err := sw.w.CheckInvariants(); err != nil {
+	if err := sw.w.buildGraph(workers, edgeShards...); err != nil {
 		return nil, err
 	}
 	return sw.w, nil

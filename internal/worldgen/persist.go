@@ -32,8 +32,7 @@ func (w *World) WriteJSON(out io.Writer) error {
 		Schools: w.Schools,
 		People:  w.People,
 	}
-	// Walk the frozen CSR view: same ascending (u, v) order as the mutable
-	// graph's Users/Friends, without an allocation-and-sort per user.
+	// Walk the CSR rows in ascending (u, v) order.
 	frozen := w.Frozen()
 	frozen.ForEachUser(func(u socialgraph.UserID) {
 		frozen.ForEachFriend(u, func(v socialgraph.UserID) {
@@ -46,36 +45,44 @@ func (w *World) WriteJSON(out io.Writer) error {
 	return enc.Encode(snap)
 }
 
-// ReadJSON deserializes a world written by WriteJSON and re-validates its
-// invariants.
+// ReadJSON deserializes a world written by WriteJSON, builds its graph
+// with the generators' FrozenBuilder path and re-validates its invariants.
+// The input is untrusted: a null person or school, an edge endpoint outside
+// the people or a self-loop is rejected before anything is sized from it,
+// and every failure wraps ErrSnapshot.
 func ReadJSON(in io.Reader) (*World, error) {
 	var snap snapshot
 	if err := json.NewDecoder(in).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("worldgen: decoding snapshot: %w", err)
+		return nil, fmt.Errorf("%w: decoding JSON: %w", ErrSnapshot, err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("worldgen: snapshot version %d, want %d", snap.Version, snapshotVersion)
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshot, snap.Version, snapshotVersion)
+	}
+	for i, s := range snap.Schools {
+		if s == nil {
+			return nil, fmt.Errorf("%w: school %d is null", ErrSnapshot, i)
+		}
+	}
+	for i, p := range snap.People {
+		if p == nil {
+			return nil, fmt.Errorf("%w: person %d is null", ErrSnapshot, i)
+		}
+	}
+	edges := make([]socialgraph.Edge, len(snap.Edges))
+	for i, e := range snap.Edges {
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("%w: self-friendship for user %d", ErrSnapshot, e[0])
+		}
+		edges[i] = socialgraph.Edge{A: e[0], B: e[1]}
 	}
 	w := &World{
 		Seed:    snap.Seed,
 		Now:     snap.Now,
 		Schools: snap.Schools,
 		People:  snap.People,
-		Graph:   socialgraph.New(),
 	}
-	for _, p := range w.People {
-		if p.HasAccount {
-			w.Graph.AddUser(p.ID)
-		}
+	if err := w.buildGraph(1, socialgraph.NormalizeEdges(edges)); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSnapshot, err)
 	}
-	for _, e := range snap.Edges {
-		if err := w.Graph.AddFriendship(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("worldgen: snapshot fails invariants: %w", err)
-	}
-	w.Frozen() // loaded worlds serve from the CSR snapshot too
 	return w, nil
 }

@@ -40,8 +40,9 @@ import (
 // structural violation surfaces as an error wrapping ErrSnapshot — never a
 // panic.
 
-// ErrSnapshot is wrapped by every binary snapshot decode error.
-var ErrSnapshot = errors.New("worldgen: malformed binary snapshot")
+// ErrSnapshot is wrapped by every snapshot decode error, binary or JSON,
+// including a decoded world that fails its invariants.
+var ErrSnapshot = errors.New("worldgen: malformed snapshot")
 
 var snapshotMagic = [4]byte{'H', 'S', 'W', 'B'}
 
@@ -150,8 +151,7 @@ func (w *World) WriteBinary(out io.Writer) error {
 
 // ReadBinary decodes a world written by WriteBinary and re-validates its
 // invariants. It reads all of in and decodes the bytes as ReadSnapshotFile
-// does. The returned world is frozen-only (Graph == nil): the CSR snapshot
-// is decoded directly, no mutable graph is rebuilt.
+// does; the CSR snapshot is decoded directly, not rebuilt.
 func ReadBinary(in io.Reader) (*World, error) {
 	data, err := io.ReadAll(in)
 	if err != nil {
@@ -268,14 +268,6 @@ func decodeBinary(data []byte) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: graph: %w", ErrSnapshot, err)
 	}
-	if frozen.NumIDs() > nPeople {
-		return nil, fmt.Errorf("%w: graph spans %d IDs, world has %d people", ErrSnapshot, frozen.NumIDs(), nPeople)
-	}
-	for _, p := range w.People {
-		if p.HasAccount != frozen.HasUser(p.ID) {
-			return nil, fmt.Errorf("%w: person %d account flag disagrees with graph", ErrSnapshot, p.ID)
-		}
-	}
 	w.SetFrozen(frozen)
 
 	// Tolerate (skip) unknown sections before the terminator: the additive
@@ -297,7 +289,7 @@ func decodeBinary(data []byte) (*World, error) {
 	}
 
 	if err := w.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("worldgen: binary snapshot fails invariants: %w", err)
+		return nil, fmt.Errorf("%w: invariants: %w", ErrSnapshot, err)
 	}
 	return w, nil
 }

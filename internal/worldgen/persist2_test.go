@@ -67,8 +67,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 
 // TestFrozenFromReloadEqualsDirect: the CSR snapshot served from a reloaded
 // world must equal the snapshot of the freshly generated one — for the JSON
-// path this means the rebuild-and-refreeze pipeline converges to the same
-// CSR bytes the binary path carries verbatim.
+// path this means the edge-list rebuild converges to the same CSR bytes the
+// binary path carries verbatim.
 func TestFrozenFromReloadEqualsDirect(t *testing.T) {
 	w, err := Generate(TinyConfig(), 99)
 	if err != nil {

@@ -2,8 +2,11 @@ package worldgen
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"errors"
 	"testing"
+
+	"hsprofiler/internal/socialgraph"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -30,22 +33,83 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("person %d differs after round trip", i)
 		}
 	}
-	if got.Graph.NumEdges() != w.Graph.NumEdges() {
-		t.Fatalf("edges %d vs %d", got.Graph.NumEdges(), w.Graph.NumEdges())
+	if got.Frozen().NumEdges() != w.Frozen().NumEdges() {
+		t.Fatalf("edges %d vs %d", got.Frozen().NumEdges(), w.Frozen().NumEdges())
 	}
 	// Spot-check adjacency equality.
-	for _, u := range w.Graph.Users() {
-		if got.Graph.Degree(u) != w.Graph.Degree(u) {
+	for _, u := range w.Frozen().Users() {
+		if got.Frozen().Degree(u) != w.Frozen().Degree(u) {
 			t.Fatalf("degree mismatch at %d", u)
 		}
 	}
 }
 
+// TestReadJSONRejectsGarbage: every malformed or hostile JSON snapshot fails
+// with an error wrapping ErrSnapshot — no panic, and no graph sized from an
+// edge endpoint the people do not cover.
 func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, tc := range hostileJSON(t, tinyWorld(t, 5)) {
+		got, err := ReadJSON(bytes.NewReader(tc.data))
+		if err == nil || got != nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("%s: error not typed ErrSnapshot: %v", tc.name, err)
+		}
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("wrong version accepted")
+}
+
+type namedInput struct {
+	name string
+	data []byte
+}
+
+// hostileJSON returns inputs ReadJSON must reject: two non-snapshots, then
+// w's JSON snapshot with one hostile edit each.
+func hostileJSON(t testing.TB, w *World) []namedInput {
+	t.Helper()
+	var acct, noAcct socialgraph.UserID = -1, -1
+	for _, p := range w.People {
+		if p.HasAccount && acct < 0 {
+			acct = p.ID
+		}
+		if !p.HasAccount && noAcct < 0 {
+			noAcct = p.ID
+		}
 	}
+	if acct < 0 || noAcct < 0 {
+		t.Fatal("world lacks an account holder or a person without an account")
+	}
+	withEdge := func(a, b socialgraph.UserID) func(*snapshot) {
+		return func(s *snapshot) { s.Edges = append(s.Edges, [2]socialgraph.UserID{a, b}) }
+	}
+	return []namedInput{
+		{"not json", []byte("not json")},
+		{"wrong version", []byte(`{"version": 99}`)},
+		{"negative endpoint", mutatedJSON(t, w, withEdge(-3, 1))},
+		{"endpoint 2^24", mutatedJSON(t, w, withEdge(1, 1<<24))},
+		{"edge to a person without an account", mutatedJSON(t, w, withEdge(acct, noAcct))},
+		{"self-loop", mutatedJSON(t, w, withEdge(acct, acct))},
+		{"null person", mutatedJSON(t, w, func(s *snapshot) { s.People = []*Person{nil} })},
+		{"null school", mutatedJSON(t, w, func(s *snapshot) { s.Schools = []*School{nil} })},
+	}
+}
+
+// mutatedJSON returns w's JSON snapshot after mut edits its decoded form.
+func mutatedJSON(t testing.TB, w *World, mut func(*snapshot)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	mut(&s)
+	out, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -40,69 +40,51 @@ type World struct {
 	Now     sim.Date
 	Schools []*School
 	People  []*Person
-	// Graph is the mutable adjacency-map graph. Worlds built by the
-	// sequential Generate carry one; worlds from GenerateParallel or a
-	// binary snapshot are frozen-only (Graph == nil) — the CSR snapshot was
-	// built directly and no map-based graph ever existed.
-	Graph *socialgraph.Graph
 
-	// frozen caches the CSR snapshot of Graph; built once, on generation
-	// (the generator calls Frozen eagerly) or on first use.
+	// frozen is the friendship graph. Every constructor installs it before
+	// returning, and Evolve swaps in the next year's snapshot.
 	frozen atomic.Pointer[socialgraph.Frozen]
 }
 
-// SetFrozen installs a pre-built CSR snapshot. The streaming generator and
-// the binary snapshot loader use it for worlds that never had a mutable
-// graph.
+// SetFrozen installs a CSR snapshot as the world's friendship graph.
 func (w *World) SetFrozen(f *socialgraph.Frozen) {
 	w.frozen.Store(f)
 }
 
-// Frozen returns the immutable CSR snapshot of the friendship graph,
-// freezing it on first call. After worldgen the graph is structurally
-// immutable, so the snapshot and the live graph never diverge; all serving
-// and analysis paths read the snapshot, which is lock-free and
-// allocation-free for concurrent readers. Clones share an already-built
-// snapshot (Clone shares the graph). Racing first calls may both freeze;
-// the result is deterministic, so either snapshot is the snapshot.
+// Frozen returns the immutable CSR snapshot of the friendship graph. All
+// serving and analysis paths read it; it is lock-free and allocation-free
+// for concurrent readers. Evolve replaces the world's snapshot with the
+// next one, never changing a snapshot already handed out, and clones share
+// it.
 func (w *World) Frozen() *socialgraph.Frozen {
-	if f := w.frozen.Load(); f != nil {
-		return f
-	}
-	if w.Graph == nil {
-		panic("worldgen: frozen-only world without a snapshot")
-	}
-	w.frozen.CompareAndSwap(nil, w.Graph.Freeze())
 	return w.frozen.Load()
 }
 
-// Invalidate drops the cached CSR snapshot after a structural mutation of
-// Graph, so the next Frozen call re-freezes instead of silently serving the
-// pre-mutation graph (the memoization in Frozen caches the first freeze
-// forever). No-op on frozen-only worlds: they have no mutable graph to have
-// diverged from, and dropping their only snapshot would brick them.
-// Not safe to call concurrently with readers; mutation happens off the
-// serving path (epoch rotation builds the next snapshot before swapping).
-func (w *World) Invalidate() {
-	if w.Graph == nil {
-		return
+// buildGraph assembles the friendship graph from edge lists with a
+// FrozenBuilder over the ID space [0, len(People)), every account holder a
+// user, installs it and checks the world's invariants. Each shard must be
+// normalized (see socialgraph.NormalizeEdges) and no two may share an edge;
+// workers parallelizes the builder's row sort.
+func (w *World) buildGraph(workers int, shards ...[]socialgraph.Edge) error {
+	fb := socialgraph.NewFrozenBuilder(len(w.People))
+	for _, p := range w.People {
+		if p.HasAccount {
+			if err := fb.AddUser(p.ID); err != nil {
+				return err
+			}
+		}
 	}
-	w.frozen.Store(nil)
-}
-
-// Mutate runs fn against the mutable graph and invalidates the cached
-// snapshot, so a freeze after the mutation can never serve stale adjacency.
-// It fails on frozen-only worlds (GenerateParallel output, binary
-// snapshots): structural mutation needs the map graph.
-func (w *World) Mutate(fn func(*socialgraph.Graph) error) error {
-	if w.Graph == nil {
-		return fmt.Errorf("worldgen: cannot mutate a frozen-only world (no mutable graph)")
+	for _, shard := range shards {
+		if err := fb.AddShard(shard); err != nil {
+			return err
+		}
 	}
-	if err := fn(w.Graph); err != nil {
+	frozen, err := fb.Build(workers)
+	if err != nil {
 		return err
 	}
-	w.Invalidate()
-	return nil
+	w.SetFrozen(frozen)
+	return w.CheckInvariants()
 }
 
 // Person returns the person with the given ID, or nil if out of range.
@@ -159,19 +141,24 @@ func (w *World) CountRole(r Role) int {
 }
 
 // CheckInvariants validates cross-cutting structural properties of the
-// world. It is called by the generator after construction and exercised
-// directly by tests.
+// world: the graph's own invariants, a graph whose ID space fits the people
+// and whose users are exactly the account holders, and coherent person
+// records. The generators and both snapshot readers call it before
+// returning a world.
 func (w *World) CheckInvariants() error {
-	if w.Graph != nil {
-		if err := w.Graph.CheckInvariants(); err != nil {
-			return err
-		}
-	} else if err := w.Frozen().CheckInvariants(); err != nil {
+	frozen := w.Frozen()
+	if err := frozen.CheckInvariants(); err != nil {
 		return err
+	}
+	if frozen.NumIDs() > len(w.People) {
+		return fmt.Errorf("worldgen: graph spans %d IDs, world has %d people", frozen.NumIDs(), len(w.People))
 	}
 	for i, p := range w.People {
 		if int(p.ID) != i {
 			return fmt.Errorf("worldgen: person at index %d has ID %d", i, p.ID)
+		}
+		if p.HasAccount != frozen.HasUser(p.ID) {
+			return fmt.Errorf("worldgen: person %d account flag disagrees with graph", p.ID)
 		}
 		if p.Role == RoleStudent || p.Role == RoleAlumnus || p.Role == RoleFormer || p.Role == RoleTeacher {
 			if w.School(p.SchoolID) == nil {
@@ -212,14 +199,11 @@ func (w *World) CheckInvariants() error {
 }
 
 // Clone returns a copy of the world with independently mutable Person
-// records but a shared (structurally immutable after generation) friendship
-// graph. The §7 without-COPPA counterfactual re-registers every account
+// records but the same immutable friendship graph snapshot. The §7 without-COPPA counterfactual re-registers every account
 // truthfully on such a clone without touching the original.
 func (w *World) Clone() *World {
-	c := &World{Seed: w.Seed, Now: w.Now, Schools: w.Schools, Graph: w.Graph}
-	if f := w.frozen.Load(); f != nil {
-		c.frozen.Store(f) // share the snapshot along with the graph
-	}
+	c := &World{Seed: w.Seed, Now: w.Now, Schools: w.Schools}
+	c.SetFrozen(w.Frozen())
 	c.People = make([]*Person, len(w.People))
 	for i, p := range w.People {
 		cp := *p
