@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -159,8 +160,11 @@ func main() {
 	reqSeed := flag.Uint64("req-seed", 1, "request-id seed: every request carries a deterministic X-Osn-Request-Id derived from this seed and its path, so attacker-side wire events join to the server's access log")
 	flag.Parse()
 
-	if *school == "" {
-		fmt.Fprintln(os.Stderr, "hsprofile: -school is required")
+	if err := validate(attackFlags{
+		school: *school, mode: *mode, accounts: *accounts, t: *threshold, epsilon: *epsilon,
+		workers: *workers, failureBudget: *failureBudget, pace: *pace, reqTimeout: *reqTimeout,
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "hsprofile: %v\n", err)
 		os.Exit(2)
 	}
 	// Observability artifacts (metrics, trace, manifest, event log) exist
@@ -359,6 +363,52 @@ func writeArchive(path string, crawlStore *store.Store, lg *evlog.Logger) {
 		evlog.Int("partial_lists", st.PartialLists))
 	fmt.Printf("\narchive: %d profiles, %d friend lists (%d hidden), %d partial -> %s\n",
 		st.Profiles, st.FriendLists, st.HiddenLists, st.PartialLists, path)
+}
+
+// attackFlags are the flag values validate checks.
+type attackFlags struct {
+	school, mode                        string
+	accounts, t, workers, failureBudget int
+	epsilon                             float64
+	pace, reqTimeout                    time.Duration
+}
+
+// validate rejects flag values that would run another experiment than the
+// one asked for, or fail only after the crawl: a mistyped -mode ran basic,
+// a -t below 1 selected every candidate or panicked in Select, and
+// -accounts 0 failed with a misleading "no core users". It names every bad
+// flag at once, before any account is registered.
+func validate(f attackFlags) error {
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	if f.school == "" {
+		bad("-school is required")
+	}
+	if f.mode != "basic" && f.mode != "enhanced" {
+		bad("-mode must be basic or enhanced, got %q", f.mode)
+	}
+	if f.accounts < 1 {
+		bad("-accounts must be at least 1, got %d", f.accounts)
+	}
+	if f.t < 1 {
+		bad("-t must be at least 1, got %d", f.t)
+	}
+	if !(f.epsilon >= 0) || math.IsInf(f.epsilon, 1) {
+		bad("-epsilon must be a finite number ≥ 0, got %v", f.epsilon)
+	}
+	if f.workers < 1 {
+		bad("-workers must be at least 1, got %d", f.workers)
+	}
+	if f.failureBudget < 0 {
+		bad("-failure-budget must be non-negative, got %d", f.failureBudget)
+	}
+	if f.pace < 0 {
+		bad("-pace must be non-negative, got %v", f.pace)
+	}
+	if f.reqTimeout < 0 {
+		bad("-req-timeout must be non-negative, got %v", f.reqTimeout)
+	}
+	return errors.Join(errs...)
 }
 
 func fatal(err error) {

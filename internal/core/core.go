@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hsprofiler/internal/crawler"
@@ -326,8 +327,10 @@ func validateParams(p Params) error {
 	if p.CurrentYear < 1900 || p.CurrentYear > 3000 {
 		return fmt.Errorf("core: implausible current year %d", p.CurrentYear)
 	}
-	if p.Epsilon < 0 {
-		return fmt.Errorf("core: negative epsilon")
+	// NaN passes a < 0 test, and a NaN or infinite window converts to a
+	// garbage int.
+	if !(p.Epsilon >= 0) || math.IsInf(p.Epsilon, 1) {
+		return fmt.Errorf("core: epsilon must be a finite number ≥ 0, got %v", p.Epsilon)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestFilterReason(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	_, sess := testRig(t, 1, 1, osn.Config{})
+	p, sess := testRig(t, 1, 1, osn.Config{})
 	if _, err := Run(sess, Params{SchoolName: "", CurrentYear: 2012}); err == nil {
 		t.Error("empty school accepted")
 	}
@@ -119,6 +120,21 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if _, err := Run(sess, Params{SchoolName: "No Such High", CurrentYear: 2012}); err == nil {
 		t.Error("unknown school accepted")
+	}
+	// A NaN or infinite ε must be rejected before any crawl: with the
+	// rig's real school, a basic run would otherwise succeed and an
+	// enhanced one size its profile window from a garbage int.
+	school := p.Schools()[0].Name
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		for _, mode := range []Mode{Basic, Enhanced} {
+			if _, err := Run(sess, Params{SchoolName: school, CurrentYear: 2012, Mode: mode, Epsilon: eps}); err == nil {
+				t.Errorf("%s run accepted epsilon %v", mode, eps)
+			}
+		}
+	}
+	// A huge but finite ε is valid: its window is the whole ranking.
+	if _, err := Run(sess, Params{SchoolName: school, CurrentYear: 2012, Mode: Enhanced, Epsilon: 1e300}); err != nil {
+		t.Errorf("epsilon 1e300: %v", err)
 	}
 }
 

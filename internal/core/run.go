@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hsprofiler/internal/crawler"
 	"hsprofiler/internal/crawler/cache"
@@ -150,7 +151,9 @@ func RunContext(ctx context.Context, sess *crawler.Session, p Params) (*Result, 
 	}
 	lg.Info(ctx, "method", "harvested and scored", evlog.Int("candidates", len(r.Ranked)))
 
-	window := int(float64(p.MaxThreshold) * (1 + p.Epsilon))
+	// No window is longer than the ranking; capping it before the int
+	// conversion keeps a huge but finite ε or t from overflowing it.
+	window := int(min(float64(p.MaxThreshold)*(1+p.Epsilon), math.MaxInt32))
 	if p.Mode == Enhanced {
 		// §4.3: download the top-(1+ε)t profiles, promote self-declared
 		// current students to the core, recompute from step 3 with the

@@ -6,11 +6,11 @@ import (
 
 // TestJSONTransportAttackEquivalence proves the attack pipeline runs end to
 // end over the /api/v1 JSON wire with results bit-identical to the HTML
-// scraping path: a full HS1 run (Tables 2-4) crawled through
-// osnhttp.JSONClient must render byte-for-byte the same tables as one
-// crawled through the HTML Client. Both labs serve real HTTP; only the wire
-// format differs, so any divergence means the JSON surface leaks, hides, or
-// paginates differently than the views the paper scraped.
+// scraping path: a full HS1 run (Tables 2-4) crawled over /api/v1 must
+// render byte-for-byte the same tables as one crawled over the HTML pages.
+// Both labs serve real HTTP; only the wire format differs, so any
+// divergence means the JSON surface leaks, hides, or paginates differently
+// than the views the paper scraped.
 func TestJSONTransportAttackEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HS1 run; skipped with -short")

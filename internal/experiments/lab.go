@@ -38,10 +38,10 @@ type Lab struct {
 }
 
 // Transport selects which wire the lab's crawls ride: the HTML views the
-// paper's crawlers scraped, or the /api/v1 JSON surface. Both clients
-// implement the identical request granularity and error mapping, so the
-// choice must not change any table — the JSON-transport E2E test holds the
-// two bit-identical.
+// paper's crawlers scraped, or the /api/v1 JSON surface. One client makes
+// the same requests and maps errors the same way on both, so the choice
+// must not change any table — the JSON-transport E2E test holds the two
+// bit-identical.
 type Transport int
 
 const (
@@ -56,21 +56,13 @@ func (t Transport) String() string {
 	return "html"
 }
 
-// labClient is the client surface a cell needs: the crawler-facing
-// interface plus account registration. Satisfied by both osnhttp.Client
-// and osnhttp.JSONClient.
-type labClient interface {
-	crawler.Client
-	RegisterAccounts(n int) error
-}
-
 // cell is one scenario's instantiated environment.
 type cell struct {
 	scenario Scenario
 	world    *worldgen.World
 	platform *osn.Platform
 	server   *httptest.Server
-	client   labClient
+	client   *osnhttp.Client
 	// cached memoizes profile and friend-list fetches across the cell's
 	// runs; the effort tallies count above it, so Table 3 is unaffected.
 	cached *cache.Cache
@@ -173,12 +165,11 @@ func buildCell(sc Scenario, world *worldgen.World, transport Transport, withTele
 		platform.WithTelemetry(telemetry.NewTable(time.Hour))
 	}
 	server := httptest.NewServer(osnhttp.NewServer(platform))
-	var client labClient
+	newClient := osnhttp.NewClient
 	if transport == TransportJSON {
-		client = osnhttp.NewJSONClient(server.URL, server.Client(), nil)
-	} else {
-		client = osnhttp.NewClient(server.URL, server.Client(), nil)
+		newClient = osnhttp.NewJSONClient
 	}
+	client := newClient(server.URL, server.Client(), nil)
 	if err := client.RegisterAccounts(sc.SeedAccounts + sc.EvalAccounts); err != nil {
 		server.Close()
 		return nil, err

@@ -18,9 +18,9 @@ import (
 	"hsprofiler/internal/worldgen"
 )
 
-// testAPIServer serves a tiny world and returns a JSONClient with two
+// testAPIServer serves a tiny world and returns a JSON-wire client with two
 // registered accounts, mirroring testServer for the HTML surface.
-func testAPIServer(t testing.TB, cfg osn.Config) (*osn.Platform, *JSONClient) {
+func testAPIServer(t testing.TB, cfg osn.Config) (*osn.Platform, *Client) {
 	t.Helper()
 	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
 	if err != nil {

@@ -1,18 +1,17 @@
 package osnhttp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
 	"hsprofiler/internal/obs/evlog"
 	"hsprofiler/internal/osn"
-	"hsprofiler/internal/sim"
 )
 
 // Pacer throttles the crawler between requests. The paper's crawlers used
@@ -34,8 +33,14 @@ type SleepPace struct{ Interval time.Duration }
 // Pause implements Pacer.
 func (s SleepPace) Pause() { time.Sleep(s.Interval) }
 
-// Client fetches and parses the platform's HTML pages. It implements the
-// stranger-visible access surface the attack code consumes (core.Client).
+// Client crawls the platform over one of its two wires: the HTML pages the
+// paper's crawlers scraped (NewClient) or the /api/v1 JSON surface
+// (NewJSONClient). It implements the stranger-visible access surface the
+// attack code consumes (crawler.Client). The transport, accounts, request
+// ids, logging and status mapping are the same on both wires; a wire
+// supplies only its paths and body decoders, so an attack is
+// request-for-request, and therefore Tables 2–4, the same over either
+// (proven end to end in internal/experiments).
 type Client struct {
 	base   string
 	hc     *http.Client
@@ -43,18 +48,50 @@ type Client struct {
 	tokens []string
 	seed   uint64
 	lg     *evlog.Logger
+	w      *wire
 }
 
-// NewClient returns a client for the server at base (e.g. an httptest URL).
-// hc may be nil for http.DefaultClient; pacer may be nil for NoPace.
+// JSONClient is Client. The alias exists only because internal/bench names
+// the type; it goes when the benchmark's load generator moves onto Client
+// (ROADMAP item 3's benchmark half).
+type JSONClient = Client
+
+// wire is what one of the platform's surfaces supplies to Client: its path
+// prefix, the heads of its three search paths, and its body decoders.
+type wire struct {
+	prefix string // "" or "/api/v1"
+	// find, city and graph precede the query of the school, by-city and
+	// graph searches.
+	find, city, graph string
+
+	token   func(body []byte) (string, error)
+	schools func(body []byte) ([]osn.SchoolRef, error)
+	results func(body []byte) ([]osn.SearchResult, bool, error)
+	profile func(body []byte, id osn.PublicID) (*osn.PublicProfile, error)
+	friends func(body []byte) ([]osn.FriendRef, bool, error)
+}
+
+// NewClient returns a client for the HTML pages of the server at base (e.g.
+// an httptest URL). hc may be nil for http.DefaultClient; pacer may be nil
+// for NoPace.
 func NewClient(base string, hc *http.Client, pacer Pacer) *Client {
+	return newClient(base, hc, pacer, &htmlWire)
+}
+
+// NewJSONClient returns a client for the /api/v1 JSON surface of the server
+// at base, with NewClient's defaults.
+func NewJSONClient(base string, hc *http.Client, pacer Pacer) *Client {
+	return newClient(base, hc, pacer, &jsonWire)
+}
+
+func newClient(base string, hc *http.Client, pacer Pacer, w *wire) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	if pacer == nil {
 		pacer = NoPace{}
 	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc, pacer: pacer, seed: 1}
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc, pacer: pacer, seed: 1, w: w}
 }
 
 // WithSeed sets the request-id seed (default 1). Two clients with the
@@ -82,7 +119,7 @@ func (c *Client) RegisterAccounts(n int) error {
 			"name":  {fmt.Sprintf("crawler%d", len(c.tokens))},
 			"birth": {"1985-01-01"},
 		}
-		resp, err := c.hc.PostForm(c.base+"/register", form)
+		resp, err := c.hc.PostForm(c.base+c.w.prefix+"/register", form)
 		if err != nil {
 			return err
 		}
@@ -92,9 +129,13 @@ func (c *Client) RegisterAccounts(n int) error {
 			return err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("osnhttp: register: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+			return fmt.Errorf("osnhttp: register: %w", statusErr(resp.StatusCode, body))
 		}
-		c.tokens = append(c.tokens, strings.TrimSpace(string(body)))
+		tok, err := c.w.token(body)
+		if err != nil {
+			return err
+		}
+		c.tokens = append(c.tokens, tok)
 	}
 	return nil
 }
@@ -102,9 +143,11 @@ func (c *Client) RegisterAccounts(n int) error {
 // Accounts reports how many fake accounts the client holds.
 func (c *Client) Accounts() int { return len(c.tokens) }
 
-// statusErr maps wire status codes back to the platform error values so the
-// attack code behaves identically in-process and over HTTP.
-func statusErr(code int, body string) error {
+// statusErr maps a wire status code back to the platform error values so
+// the attack code behaves identically in-process and over HTTP. The status
+// alone decides: /api/v1 derives its envelope's code from it (apiCode), so
+// the body is read only into the message of an unmapped status.
+func statusErr(code int, body []byte) error {
 	switch code {
 	case http.StatusUnauthorized:
 		return osn.ErrUnauthorized
@@ -119,17 +162,18 @@ func statusErr(code int, body string) error {
 	case http.StatusGone:
 		return osn.ErrHidden
 	default:
-		return fmt.Errorf("osnhttp: unexpected status %d: %s", code, strings.TrimSpace(body))
+		return fmt.Errorf("osnhttp: unexpected status %d: %s", code, bytes.TrimSpace(body))
 	}
 }
 
 // get fetches a page, applying pacing, request-id stamping and error
-// mapping.
-func (c *Client) get(path string) (string, error) {
+// mapping. The body is always read in full — even on error statuses — so
+// the connection returns to the keep-alive pool.
+func (c *Client) get(path string) ([]byte, error) {
 	c.pacer.Pause()
 	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	id := requestID(c.seed, path)
 	req.Header[RequestIDHeader] = []string{id}
@@ -140,7 +184,7 @@ func (c *Client) get(path string) (string, error) {
 			c.lg.Warn(context.Background(), "wire", "request failed",
 				evlog.Str("id", id), evlog.Str("path", path), evlog.Err("err", err))
 		}
-		return "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
@@ -150,12 +194,12 @@ func (c *Client) get(path string) (string, error) {
 			evlog.Int("code", resp.StatusCode), evlog.Dur("ms", time.Since(start)))
 	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", statusErr(resp.StatusCode, string(body))
+		return nil, statusErr(resp.StatusCode, body)
 	}
-	return string(body), nil
+	return body, nil
 }
 
 func (c *Client) token(acct int) (string, error) {
@@ -165,57 +209,32 @@ func (c *Client) token(acct int) (string, error) {
 	return c.tokens[acct], nil
 }
 
-// parseResults extracts one page of search results, validating the page
-// and that no damaged row was dropped.
-func parseResults(body string) ([]osn.SearchResult, bool, error) {
-	if err := validatePage(body, "results"); err != nil {
-		return nil, false, err
-	}
-	ids := classDataIDs(body, "result")
-	if err := checkRows(body, "result", len(ids)); err != nil {
-		return nil, false, err
-	}
-	names := classText(body, "name")
-	var out []osn.SearchResult
-	for i, id := range ids {
-		name := ""
-		if i < len(names) {
-			name = names[i]
-		}
-		out = append(out, osn.SearchResult{ID: osn.PublicID(id), Name: name})
-	}
-	return out, hasClass(body, "next"), nil
-}
-
-// LookupSchool resolves a school by exact name via the portal directory.
+// LookupSchool resolves a school by exact name, scanning the portal
+// directory client-side.
 func (c *Client) LookupSchool(name string) (osn.SchoolRef, error) {
-	page, err := c.get("/schools")
+	body, err := c.get(c.w.prefix + "/schools")
 	if err != nil {
 		return osn.SchoolRef{}, err
 	}
-	if err := validatePage(page, "schools"); err != nil {
+	schools, err := c.w.schools(body)
+	if err != nil {
 		return osn.SchoolRef{}, err
 	}
-	ids := classDataIDs(page, "school")
-	if err := checkRows(page, "school", len(ids)); err != nil {
-		return osn.SchoolRef{}, err
-	}
-	names := classText(page, "schoolname")
-	cities := classText(page, "schoolcity")
-	for i := range ids {
-		if i < len(names) && names[i] == name {
-			id, err := strconv.Atoi(ids[i])
-			if err != nil {
-				return osn.SchoolRef{}, fmt.Errorf("osnhttp: bad school id %q", ids[i])
-			}
-			city := ""
-			if i < len(cities) {
-				city = cities[i]
-			}
-			return osn.SchoolRef{ID: id, Name: name, City: city}, nil
+	for _, s := range schools {
+		if s.Name == name {
+			return s, nil
 		}
 	}
 	return osn.SchoolRef{}, osn.ErrNoSchool
+}
+
+// search fetches and decodes one page of any of the three searches.
+func (c *Client) search(path string) ([]osn.SearchResult, bool, error) {
+	body, err := c.get(path)
+	if err != nil {
+		return nil, false, err
+	}
+	return c.w.results(body)
 }
 
 // Search fetches one page of Find-Friends results using the acct-th fake
@@ -225,11 +244,8 @@ func (c *Client) Search(acct, schoolID, page int) ([]osn.SearchResult, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	body, err := c.get(fmt.Sprintf("/find-friends?school=%d&page=%d&acct=%s", schoolID, page, url.QueryEscape(tok)))
-	if err != nil {
-		return nil, false, err
-	}
-	return parseResults(body)
+	return c.search(fmt.Sprintf("%s%sschool=%d&page=%d&acct=%s",
+		c.w.prefix, c.w.find, schoolID, page, url.QueryEscape(tok)))
 }
 
 // CitySearch fetches one page of the by-city people search.
@@ -238,12 +254,8 @@ func (c *Client) CitySearch(acct int, city string, page int) ([]osn.SearchResult
 	if err != nil {
 		return nil, false, err
 	}
-	body, err := c.get(fmt.Sprintf("/city-search?city=%s&page=%d&acct=%s",
-		url.QueryEscape(city), page, url.QueryEscape(tok)))
-	if err != nil {
-		return nil, false, err
-	}
-	return parseResults(body)
+	return c.search(fmt.Sprintf("%s%scity=%s&page=%d&acct=%s",
+		c.w.prefix, c.w.city, url.QueryEscape(city), page, url.QueryEscape(tok)))
 }
 
 // GraphSearch runs a structured Graph-Search-style query via the acct-th
@@ -257,69 +269,22 @@ func (c *Client) GraphSearch(acct int, q osn.GraphQuery, page int) ([]osn.Search
 	if q.CurrentStudents {
 		current = "1"
 	}
-	body, err := c.get(fmt.Sprintf(
-		"/graph-search?school=%d&current=%s&after=%d&before=%d&city=%s&page=%d&acct=%s",
-		q.SchoolID, current, q.GradYearAfter, q.GradYearBefore,
+	return c.search(fmt.Sprintf("%s%sschool=%d&current=%s&after=%d&before=%d&city=%s&page=%d&acct=%s",
+		c.w.prefix, c.w.graph, q.SchoolID, current, q.GradYearAfter, q.GradYearBefore,
 		url.QueryEscape(q.City), page, url.QueryEscape(tok)))
-	if err != nil {
-		return nil, false, err
-	}
-	return parseResults(body)
 }
 
-// Profile fetches and parses a public profile page.
+// Profile fetches and decodes a public profile.
 func (c *Client) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error) {
 	tok, err := c.token(acct)
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.get(fmt.Sprintf("/profile/%s?acct=%s", url.PathEscape(string(id)), url.QueryEscape(tok)))
+	body, err := c.get(fmt.Sprintf("%s/profile/%s?acct=%s", c.w.prefix, url.PathEscape(string(id)), url.QueryEscape(tok)))
 	if err != nil {
 		return nil, err
 	}
-	return parseProfile(body, id)
-}
-
-// parseProfile extracts a profile from a page, first validating that the
-// page arrived intact (ErrMalformed otherwise).
-func parseProfile(body string, id osn.PublicID) (*osn.PublicProfile, error) {
-	if err := validatePage(body, "profile"); err != nil {
-		return nil, err
-	}
-	pp := &osn.PublicProfile{
-		ID:                id,
-		Name:              firstClassText(body, "name"),
-		HasPhoto:          hasClass(body, "photo"),
-		Gender:            firstClassText(body, "gender"),
-		Network:           firstClassText(body, "network"),
-		HighSchool:        firstClassText(body, "school"),
-		GradSchool:        hasClass(body, "gradschool"),
-		Relationship:      hasClass(body, "relationship"),
-		InterestedIn:      hasClass(body, "interested"),
-		Hometown:          firstClassText(body, "hometown"),
-		CurrentCity:       firstClassText(body, "currentcity"),
-		FriendListVisible: hasClass(body, "friendlink"),
-		ContactInfo:       hasClass(body, "contact"),
-		CanMessage:        hasClass(body, "message"),
-		Searchable:        hasClass(body, "searchable"),
-	}
-	if gy := firstClassText(body, "gradyear"); gy != "" {
-		if n, err := strconv.Atoi(strings.TrimPrefix(gy, "Class of ")); err == nil {
-			pp.GradYear = n
-		}
-	}
-	if bd := firstClassText(body, "birthday"); bd != "" {
-		var d sim.Date
-		if _, err := fmt.Sscanf(bd, "%d-%d-%d", &d.Year, &d.Month, &d.Day); err == nil {
-			pp.Birthday = &d
-		}
-	}
-	if pc := firstClassText(body, "photocount"); pc != "" {
-		if n, err := strconv.Atoi(pc); err == nil {
-			pp.PhotoCount = n
-		}
-	}
-	return pp, nil
+	return c.w.profile(body, id)
 }
 
 // FriendPage fetches one page of a friend list.
@@ -328,25 +293,9 @@ func (c *Client) FriendPage(acct int, id osn.PublicID, page int) ([]osn.FriendRe
 	if err != nil {
 		return nil, false, err
 	}
-	body, err := c.get(fmt.Sprintf("/friends/%s?page=%d&acct=%s", url.PathEscape(string(id)), page, url.QueryEscape(tok)))
+	body, err := c.get(fmt.Sprintf("%s/friends/%s?page=%d&acct=%s", c.w.prefix, url.PathEscape(string(id)), page, url.QueryEscape(tok)))
 	if err != nil {
 		return nil, false, err
 	}
-	if err := validatePage(body, "friends"); err != nil {
-		return nil, false, err
-	}
-	ids := classDataIDs(body, "friend")
-	if err := checkRows(body, "friend", len(ids)); err != nil {
-		return nil, false, err
-	}
-	names := classText(body, "name")
-	var out []osn.FriendRef
-	for i, fid := range ids {
-		name := ""
-		if i < len(names) {
-			name = names[i]
-		}
-		out = append(out, osn.FriendRef{ID: osn.PublicID(fid), Name: name})
-	}
-	return out, hasClass(body, "next"), nil
+	return c.w.friends(body)
 }

@@ -92,6 +92,47 @@ func TestJSONClientParityWithHTML(t *testing.T) {
 	if _, err := jc.Profile(0, "no-such"); !errors.Is(err, osn.ErrNotFound) {
 		t.Fatalf("json Profile(no-such) = %v, want ErrNotFound", err)
 	}
+
+	// The wires' path tables are all that differs in the other searches.
+	type search func(c *Client, page int) ([]osn.SearchResult, bool, error)
+	same := func(name string, page int, s search) bool {
+		hr, hMore, herr := s(html, page)
+		jr, jMore, jerr := s(jc, page)
+		if herr != nil || jerr != nil {
+			t.Fatalf("%s(page=%d): html err %v, json err %v", name, page, herr, jerr)
+		}
+		if !reflect.DeepEqual(hr, jr) || hMore != jMore {
+			t.Fatalf("%s(page=%d): html (%v, %v), json (%v, %v)", name, page, hr, hMore, jr, jMore)
+		}
+		if page == 0 && len(hr) == 0 {
+			t.Fatalf("%s(page=0) found nobody", name)
+		}
+		return hMore
+	}
+	walk := func(name string, s search) {
+		for page := 0; ; page++ {
+			if !same(name, page, s) {
+				return
+			}
+		}
+	}
+	walk("CitySearch", func(c *Client, page int) ([]osn.SearchResult, bool, error) {
+		return c.CitySearch(0, ref.City, page)
+	})
+	walk("GraphSearch(current)", func(c *Client, page int) ([]osn.SearchResult, bool, error) {
+		return c.GraphSearch(1, osn.GraphQuery{SchoolID: 0, CurrentStudents: true}, page)
+	})
+	// The window fits on page 0, so page 1 is empty on both wires.
+	window := func(c *Client, page int) ([]osn.SearchResult, bool, error) {
+		return c.GraphSearch(0, osn.GraphQuery{SchoolID: ref.ID, GradYearAfter: 2010, GradYearBefore: 2015}, page)
+	}
+	walk("GraphSearch(window)", window)
+	same("GraphSearch(window)", 1, window)
+	for wire, c := range map[string]*Client{"html": html, "json": jc} {
+		if _, err := c.LookupSchool("Nowhere High"); !errors.Is(err, osn.ErrNoSchool) {
+			t.Fatalf("%s LookupSchool(Nowhere High) = %v, want ErrNoSchool", wire, err)
+		}
+	}
 }
 
 // TestParsePageMalformed checks every body-damage class maps to the
@@ -126,8 +167,9 @@ func TestParsePageMalformed(t *testing.T) {
 	}
 }
 
-// TestAPIStatusErrMapping checks envelope codes map onto the platform's
-// error taxonomy, with damaged bodies falling back to status-only mapping.
+// TestAPIStatusErrMapping checks error statuses map onto the platform's
+// error taxonomy whatever the body: an /api/v1 envelope, a damaged one, or
+// an HTML-wire text body.
 func TestAPIStatusErrMapping(t *testing.T) {
 	env := func(code string) []byte {
 		return []byte(`{"error":{"code":"` + code + `","message":"m"}}`)
@@ -144,21 +186,35 @@ func TestAPIStatusErrMapping(t *testing.T) {
 		{403, env("underage"), osn.ErrUnderage},
 		{404, env("not_found"), osn.ErrNotFound},
 		{410, env("hidden"), osn.ErrHidden},
-		// Damaged envelope: fall back to the status-code mapping.
+		// Damaged envelope: the status still decides.
 		{503, []byte("garbage"), osn.ErrThrottled},
 		{404, []byte(`{"err`), osn.ErrNotFound},
+		// HTML-wire text body.
+		{410, []byte("hidden\n"), osn.ErrHidden},
 	}
 	for _, tc := range cases {
-		if err := apiStatusErr(tc.status, tc.body); !errors.Is(err, tc.want) {
-			t.Errorf("apiStatusErr(%d, %q) = %v, want %v", tc.status, tc.body, err, tc.want)
+		if err := statusErr(tc.status, tc.body); !errors.Is(err, tc.want) {
+			t.Errorf("statusErr(%d, %q) = %v, want %v", tc.status, tc.body, err, tc.want)
 		}
 	}
-	// Unknown forward-compatible codes must stay errors without mapping to
-	// a retryable sentinel by accident.
-	err := apiStatusErr(400, env("some_future_code"))
-	for _, sentinel := range []error{osn.ErrThrottled, osn.ErrSuspended, osn.ErrMalformed} {
-		if errors.Is(err, sentinel) {
-			t.Fatalf("unknown code mapped to %v", sentinel)
+	// Unknown forward-compatible codes, and unmapped statuses on the HTML
+	// wire, must stay errors without mapping to a sentinel by accident.
+	for _, tc := range []struct {
+		status int
+		body   []byte
+	}{
+		{400, env("some_future_code")},
+		{500, []byte("boom\n")},
+	} {
+		err := statusErr(tc.status, tc.body)
+		if err == nil {
+			t.Fatalf("statusErr(%d, %q) = nil", tc.status, tc.body)
+		}
+		for _, sentinel := range []error{osn.ErrThrottled, osn.ErrSuspended, osn.ErrMalformed,
+			osn.ErrHidden, osn.ErrNotFound, osn.ErrUnauthorized, osn.ErrUnderage} {
+			if errors.Is(err, sentinel) {
+				t.Fatalf("statusErr(%d, %q) mapped to %v", tc.status, tc.body, sentinel)
+			}
 		}
 	}
 }

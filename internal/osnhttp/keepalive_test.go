@@ -47,10 +47,10 @@ func keepAliveClient() (*http.Client, *traceTransport) {
 	return &http.Client{Transport: tt}, tt
 }
 
-// TestClientKeepAlive drives sequential crawl requests through both wire
-// clients and requires every request after the first to reuse the pooled
+// TestClientKeepAlive drives sequential crawl requests through the client on
+// both wires and requires every request after the first to reuse the pooled
 // connection. A crawler that reconnects per request multiplies its
-// network-level footprint and slows the attack; both clients read bodies in
+// network-level footprint and slows the attack; the client reads bodies in
 // full precisely to keep the pool warm.
 func TestClientKeepAlive(t *testing.T) {
 	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
@@ -64,7 +64,7 @@ func TestClientKeepAlive(t *testing.T) {
 	for _, wire := range []string{"html", "json"} {
 		t.Run(wire, func(t *testing.T) {
 			hc, tt := keepAliveClient()
-			var c labLikeClient
+			var c *Client
 			if wire == "json" {
 				c = NewJSONClient(srv.URL, hc, nil)
 			} else {
@@ -102,14 +102,6 @@ func TestClientKeepAlive(t *testing.T) {
 			}
 		})
 	}
-}
-
-// labLikeClient is the slice of the client surface this test needs from
-// both wire implementations.
-type labLikeClient interface {
-	RegisterAccounts(n int) error
-	Search(acct, schoolID, page int) ([]osn.SearchResult, bool, error)
-	Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error)
 }
 
 // TestKeepAliveSurvivesMalformedPages injects body damage on the wire and

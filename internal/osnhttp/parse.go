@@ -3,9 +3,11 @@ package osnhttp
 import (
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 
 	"hsprofiler/internal/osn"
+	"hsprofiler/internal/sim"
 )
 
 // The crawler-side parser. The original study downloaded Facebook HTML and
@@ -14,12 +16,31 @@ import (
 // a DOM: the markers are a stable contract with the server's page writers
 // (html.go), and the scanning tolerates reformatting around them.
 
+// htmlWire is the HTML pages' half of Client.
+var htmlWire = wire{
+	find:    "/find-friends?",
+	city:    "/city-search?",
+	graph:   "/graph-search?",
+	token:   func(b []byte) (string, error) { return parseToken(string(b)) },
+	schools: func(b []byte) ([]osn.SchoolRef, error) { return parseSchools(string(b)) },
+	results: func(b []byte) ([]osn.SearchResult, bool, error) { return parseResults(string(b)) },
+	profile: func(b []byte, id osn.PublicID) (*osn.PublicProfile, error) { return parseProfile(string(b), id) },
+	friends: func(b []byte) ([]osn.FriendRef, bool, error) {
+		return parseRows[osn.FriendRef](string(b), "friends", "friend")
+	},
+}
+
 // ErrMalformed reports a page that failed structural validation: truncated
 // mid-transfer, garbled, or missing the container its endpoint always
 // serves. Callers treat it as transient and refetch — a half-delivered
 // friend-list page must never be mistaken for a short friend list. The
 // sentinel value lives in osn so non-HTTP layers can classify it.
 var ErrMalformed = osn.ErrMalformed
+
+// malformed wraps a body-damage description in the transient sentinel.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
+}
 
 // pageTrailer closes every page the server emits; its absence means the
 // body was cut off.
@@ -30,10 +51,10 @@ const pageTrailer = "</body></html>"
 // is complete. It returns an ErrMalformed-wrapped error otherwise.
 func validatePage(body, container string) error {
 	if !strings.Contains(body, `id="`+container+`"`) {
-		return fmt.Errorf("%w: missing %q container", ErrMalformed, container)
+		return malformed("missing %q container", container)
 	}
 	if !strings.HasSuffix(strings.TrimRight(body, " \t\r\n"), pageTrailer) {
-		return fmt.Errorf("%w: truncated body", ErrMalformed)
+		return malformed("truncated body")
 	}
 	return nil
 }
@@ -48,7 +69,7 @@ func classCount(page, class string) int {
 // checkRows verifies that every class-marked row yielded a parsed entry.
 func checkRows(page, class string, parsed int) error {
 	if n := classCount(page, class); n != parsed {
-		return fmt.Errorf("%w: %d %q rows, parsed %d", ErrMalformed, n, class, parsed)
+		return malformed("%d %q rows, parsed %d", n, class, parsed)
 	}
 	return nil
 }
@@ -81,8 +102,13 @@ func classText(page, class string) []string {
 
 // firstClassText returns the first class-marked element's text, or "".
 func firstClassText(page, class string) string {
-	if all := classText(page, class); len(all) > 0 {
-		return all[0]
+	return nth(classText(page, class), 0)
+}
+
+// nth returns texts[i], or "" when a damaged page yielded fewer texts.
+func nth(texts []string, i int) string {
+	if i < len(texts) {
+		return texts[i]
 	}
 	return ""
 }
@@ -117,4 +143,112 @@ func classDataIDs(page, class string) []string {
 		}
 		i += end
 	}
+}
+
+// parseToken reads the bare token the HTML wire answers a registration with.
+func parseToken(body string) (string, error) {
+	tok := strings.TrimSpace(body)
+	if tok == "" {
+		return "", malformed("empty register response")
+	}
+	return tok, nil
+}
+
+// parseSchools extracts the portal directory, validating the page and
+// every row's id.
+func parseSchools(body string) ([]osn.SchoolRef, error) {
+	if err := validatePage(body, "schools"); err != nil {
+		return nil, err
+	}
+	ids := classDataIDs(body, "school")
+	if err := checkRows(body, "school", len(ids)); err != nil {
+		return nil, err
+	}
+	names := classText(body, "schoolname")
+	cities := classText(body, "schoolcity")
+	var out []osn.SchoolRef
+	for i, s := range ids {
+		id, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, malformed("bad school id %q", s)
+		}
+		out = append(out, osn.SchoolRef{ID: id, Name: nth(names, i), City: nth(cities, i)})
+	}
+	return out, nil
+}
+
+// listRow is the shape of a search result and of a friend-list entry.
+type listRow = struct {
+	ID   osn.PublicID
+	Name string
+}
+
+// parseRows extracts one page of class-marked rows from the container,
+// validating the page and that no damaged row was dropped.
+func parseRows[T ~listRow](body, container, class string) ([]T, bool, error) {
+	if err := validatePage(body, container); err != nil {
+		return nil, false, err
+	}
+	ids := classDataIDs(body, class)
+	if err := checkRows(body, class, len(ids)); err != nil {
+		return nil, false, err
+	}
+	names := classText(body, "name")
+	var out []T
+	for i, id := range ids {
+		out = append(out, T(listRow{ID: osn.PublicID(id), Name: nth(names, i)}))
+	}
+	return out, hasClass(body, "next"), nil
+}
+
+// parseResults extracts one page of search results.
+func parseResults(body string) ([]osn.SearchResult, bool, error) {
+	return parseRows[osn.SearchResult](body, "results", "result")
+}
+
+// parseProfile extracts a profile from a page, first validating that the
+// page arrived intact (ErrMalformed otherwise).
+func parseProfile(body string, id osn.PublicID) (*osn.PublicProfile, error) {
+	if err := validatePage(body, "profile"); err != nil {
+		return nil, err
+	}
+	pp := &osn.PublicProfile{
+		ID:                id,
+		Name:              firstClassText(body, "name"),
+		HasPhoto:          hasClass(body, "photo"),
+		Gender:            firstClassText(body, "gender"),
+		Network:           firstClassText(body, "network"),
+		HighSchool:        firstClassText(body, "school"),
+		GradSchool:        hasClass(body, "gradschool"),
+		Relationship:      hasClass(body, "relationship"),
+		InterestedIn:      hasClass(body, "interested"),
+		Birthday:          parseDate(firstClassText(body, "birthday")),
+		Hometown:          firstClassText(body, "hometown"),
+		CurrentCity:       firstClassText(body, "currentcity"),
+		FriendListVisible: hasClass(body, "friendlink"),
+		ContactInfo:       hasClass(body, "contact"),
+		CanMessage:        hasClass(body, "message"),
+		Searchable:        hasClass(body, "searchable"),
+	}
+	if gy := firstClassText(body, "gradyear"); gy != "" {
+		if n, err := strconv.Atoi(strings.TrimPrefix(gy, "Class of ")); err == nil {
+			pp.GradYear = n
+		}
+	}
+	if pc := firstClassText(body, "photocount"); pc != "" {
+		if n, err := strconv.Atoi(pc); err == nil {
+			pp.PhotoCount = n
+		}
+	}
+	return pp, nil
+}
+
+// parseDate reads a birthday as both wires write it, YYYY-MM-DD. Anything
+// else reads as no birthday shown.
+func parseDate(s string) *sim.Date {
+	var d sim.Date
+	if _, err := fmt.Sscanf(s, "%d-%d-%d", &d.Year, &d.Month, &d.Day); err != nil {
+		return nil
+	}
+	return &d
 }

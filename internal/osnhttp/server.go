@@ -7,9 +7,9 @@
 // pages as HTML with stable microformat-style class markers, and the same
 // read plane as versioned JSON under /api/v1. One router, one request
 // parser and one append encoder serve both wires; only the page writers
-// differ (html.go, api.go). The Client and JSONClient types fetch and
-// parse the pages back into the osn view types, so the attack can run over
-// a network boundary exactly as the original crawlers did.
+// differ (html.go, api.go). Client fetches either wire's pages and decodes
+// them back into the osn view types (parse.go, jsonwire.go), so the attack
+// can run over a network boundary exactly as the original crawlers did.
 package osnhttp
 
 import (
