@@ -172,12 +172,17 @@ var goldenEvolved = map[string]struct{ world, deltas string }{
 		"f4b6a6303a36dc9cde708b4c6d7f485be49d2fe29bf640aab610dfdf34a9c9a5",
 		"3bee663546847324b04ed9152e226774af402a5a48e3b6578709c33fc2bf3e72",
 	},
+	"metro8/par/seed2013": {
+		"3108c0cc231085dc39d3db41f603a5d4cdd36a3084874b944cf89ba5b0127e4d",
+		"69b8b3cf8abfd05734d575799017cde9aaa061e43dc3f40673165a180ce7790d",
+	},
 }
 
 func TestGoldenEvolvedFingerprints(t *testing.T) {
 	worlds := map[string]func() (*World, error){
-		"city3/par/seed2013": func() (*World, error) { return GenerateParallel(CityConfig(3), 2013, 4) },
-		"tiny/par/seed42":    func() (*World, error) { return GenerateParallel(TinyConfig(), 42, 8) },
+		"city3/par/seed2013":  func() (*World, error) { return GenerateParallel(CityConfig(3), 2013, 4) },
+		"tiny/par/seed42":     func() (*World, error) { return GenerateParallel(TinyConfig(), 42, 8) },
+		"metro8/par/seed2013": func() (*World, error) { return GenerateParallel(MetroConfig(8), 2013, 4) },
 	}
 	for name, gen := range worlds {
 		for _, workers := range []int{1, 4} {
