@@ -53,7 +53,13 @@ func New(seed uint64) *Rand {
 }
 
 func newWithID(id uint64) *Rand {
-	r := &Rand{id: id}
+	r := seeded(id)
+	return &r
+}
+
+// seeded is the one way a generator's state is derived from its identity.
+func seeded(id uint64) Rand {
+	r := Rand{id: id}
 	state := id
 	for i := range r.s {
 		r.s[i] = splitmix64(&state)
@@ -80,8 +86,28 @@ func (r *Rand) Stream(label string) *Rand {
 // shard's randomness is a pure function of (root seed, label, index) —
 // independent of worker count, scheduling order, and sibling shards.
 func (r *Rand) StreamN(label string, n int) *Rand {
-	state := r.id ^ hashLabel(label) ^ splitmix64ConstMix(uint64(n))
-	return newWithID(splitmix64(&state))
+	s := r.Streams(label).N(n)
+	return &s
+}
+
+// Streams is the family of numbered streams StreamN(label, n) derives from
+// r, with the label hashed once. A consumer that derives one stream per
+// person keeps a Streams and calls N, which builds no string and allocates
+// nothing.
+type Streams struct {
+	base uint64 // r.id ^ hashLabel(label)
+}
+
+// Streams returns the family of r's numbered streams under label.
+func (r *Rand) Streams(label string) Streams {
+	return Streams{base: r.id ^ hashLabel(label)}
+}
+
+// N returns stream n of the family by value: the generator
+// StreamN(label, n) returns.
+func (s Streams) N(n int) Rand {
+	state := s.base ^ splitmix64ConstMix(uint64(n))
+	return seeded(splitmix64(&state))
 }
 
 // splitmix64ConstMix mixes a small integer into a well-spread 64-bit
@@ -91,17 +117,25 @@ func splitmix64ConstMix(v uint64) uint64 {
 	return splitmix64(&state)
 }
 
+// xoshiro is one xoshiro256** step: the output for state (s0, s1, s2, s3)
+// and the state after it. It is small enough to inline, so Hits can run
+// it over state held in locals.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
+}
+
 // Uint64 returns the next 64 random bits (xoshiro256** step).
 func (r *Rand) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -146,6 +180,38 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Hits makes n successive Bool(p) draws and calls hit(i) for each draw i
+// that comes up true, leaving r in the state those n Bool calls would. It
+// keeps the generator state in locals, so a long run of rare hits costs
+// little more than its draws.
+func (r *Rand) Hits(p float64, n int, hit func(i int)) {
+	if p <= 0 {
+		return
+	}
+	if p >= 1 {
+		for i := 0; i < n; i++ {
+			hit(i)
+		}
+		return
+	}
+	// Bool tests Float64() < p, that is (x>>11)/2⁵³ < p. Scaling both
+	// sides by 2⁵³ is exact, so the test is the integer x>>11 < ⌈p·2⁵³⌉.
+	// NaN fails every comparison: it draws and never hits, as Bool does.
+	var threshold uint64
+	if !math.IsNaN(p) {
+		threshold = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < n; i++ {
+		var x uint64
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		if x>>11 < threshold {
+			hit(i)
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).

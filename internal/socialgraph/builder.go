@@ -1,7 +1,9 @@
 package socialgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,6 +12,14 @@ import (
 // them into a Frozen.
 type Edge struct {
 	A, B UserID
+}
+
+// compareEdges orders edges by (A, B): normalized order.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }
 
 // NormalizeEdges sorts the slice in (A, B) order and removes duplicates and
@@ -22,12 +32,7 @@ func NormalizeEdges(edges []Edge) []Edge {
 			edges[i].A, edges[i].B = edges[i].B, edges[i].A
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
+	slices.SortFunc(edges, compareEdges)
 	out := edges[:0]
 	for _, e := range edges {
 		if e.A == e.B {
@@ -39,6 +44,29 @@ func NormalizeEdges(edges []Edge) []Edge {
 		out = append(out, e)
 	}
 	return out
+}
+
+// MergeEdges appends the union of two normalized edge lists to dst and
+// returns it, normalized: one linear merge, with an edge found in both
+// lists written once. dst must not share memory with a or b.
+func MergeEdges(dst, a, b []Edge) []Edge {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := compareEdges(a[i], b[j]); {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // FrozenBuilder assembles a Frozen directly from pre-sorted shard output:

@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,27 @@ func TestNormalizeEdges(t *testing.T) {
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("normalized to %v, want %v", out, want)
+		}
+	}
+}
+
+// TestMergeEdges checks the linear merge against normalizing the
+// concatenation, over lists that share edges, and that it appends to dst.
+func TestMergeEdges(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		_, a := randomEdgeGraph(t, 30, int(seed*7), seed)
+		_, b := randomEdgeGraph(t, 30, 60, seed+100)
+		if seed%5 == 0 {
+			b = nil
+		}
+		want := NormalizeEdges(append(slices.Clone(a), b...))
+		head := Edge{A: -1, B: -1}
+		got := MergeEdges([]Edge{head}, a, b)
+		if got[0] != head || !slices.Equal(got[1:], want) {
+			t.Fatalf("seed %d: merged %v, want %v after %v", seed, got, want, head)
+		}
+		if got := MergeEdges(nil, b, a); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: merge not symmetric: %v", seed, got)
 		}
 	}
 }

@@ -186,7 +186,7 @@ func validateDelta(f *Frozen, adds, removes []Edge) error {
 		if e.A < 0 || int(e.B) >= n || !f.present[e.A] || !f.present[e.B] {
 			return fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
 		}
-		if e.A >= e.B || (i > 0 && !edgeLess(adds[i-1], e)) {
+		if e.A >= e.B || (i > 0 && compareEdges(adds[i-1], e) >= 0) {
 			return fmt.Errorf("socialgraph: delta adds not normalized at (%d,%d)", e.A, e.B)
 		}
 	}
@@ -194,7 +194,7 @@ func validateDelta(f *Frozen, adds, removes []Edge) error {
 		if e.A < 0 || int(e.B) >= n {
 			return fmt.Errorf("socialgraph: delta removes edge (%d,%d) outside the ID space", e.A, e.B)
 		}
-		if e.A >= e.B || (i > 0 && !edgeLess(removes[i-1], e)) {
+		if e.A >= e.B || (i > 0 && compareEdges(removes[i-1], e) >= 0) {
 			return fmt.Errorf("socialgraph: delta removes not normalized at (%d,%d)", e.A, e.B)
 		}
 	}
@@ -338,12 +338,4 @@ func parallelFor(n, workers int, fn func(i int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// edgeLess orders edges by (A, B) — NormalizeEdges order.
-func edgeLess(a, b Edge) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
 }

@@ -213,7 +213,7 @@ func ApplyDeltaRebuild(f *Frozen, adds, removes []Edge, sortWorkers int) (*Froze
 				continue
 			}
 			e := Edge{UserID(u), v}
-			for ri < len(removes) && edgeLess(removes[ri], e) {
+			for ri < len(removes) && compareEdges(removes[ri], e) < 0 {
 				return nil, fmt.Errorf("socialgraph: delta removes edge (%d,%d) not in snapshot", removes[ri].A, removes[ri].B)
 			}
 			if ri < len(removes) && removes[ri] == e {

@@ -2,7 +2,7 @@ package worldgen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -114,6 +114,8 @@ type Evolver struct {
 	Workers int
 
 	delta     Delta
+	churned   []socialgraph.Edge
+	dissolved []socialgraph.Edge
 	removed   []socialgraph.Edge
 	added     []socialgraph.Edge
 	dirtyBit  []bool
@@ -151,10 +153,13 @@ func Evolve(w *World, cfg EvolveConfig, epoch, workers int) (*Delta, error) {
 // new epoch's snapshot without a full rebuild.
 //
 // Determinism: every decision draws from a stream keyed by
-// (seed, "evolve/<epoch>/<phase>", personID) via sim.StreamN, never from a
-// shared sequential stream, so the result is a pure function of
+// (seed, "evolve/<epoch>/<phase>", personID), never from a shared
+// sequential stream, so the result is a pure function of
 // (world, config, epoch) — bit-identical at any worker count, fresh
-// Evolver or reused.
+// Evolver or reused. Each phase's label is hashed once per step into a
+// sim.Streams family, and a person's stream is a stack value derived from
+// it. Dissolution makes each person's Bernoulli draws in one sim.Rand.Hits
+// run.
 func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	cfg := ev.Cfg
 	workers := ev.Workers
@@ -164,9 +169,11 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	ev.reset(w)
 	prev := w.Frozen()
 	root := sim.New(w.Seed)
-	label := func(phase string) string {
-		return "evolve/" + strconv.Itoa(epoch) + "/" + phase
+	streams := func(phase string) sim.Streams {
+		return root.Streams("evolve/" + strconv.Itoa(epoch) + "/" + phase)
 	}
+	grad, churn, intake := streams("grad"), streams("churn"), streams("intake")
+	privacy, dissolve, form := streams("privacy"), streams("dissolve"), streams("form")
 	ev.delta = Delta{Epoch: epoch}
 	d := &ev.delta
 
@@ -201,7 +208,7 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 		if w.Schools[p.SchoolID].CohortIndex(p.GradYear) >= 0 {
 			continue
 		}
-		rng := root.StreamN(label("grad"), int(p.ID))
+		rng := grad.N(int(p.ID))
 		p.Role = RoleAlumnus
 		ev.markUser(p.ID)
 		d.Graduated++
@@ -216,12 +223,13 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	}
 
 	// 3. Transfer churn, out: a former student keeps only a fraction of
-	// their in-school ties.
+	// their in-school ties. These removals go in their own list; it is
+	// normalized alone and merged with dissolution's below.
 	for _, p := range w.People {
 		if p.Role != RoleStudent {
 			continue
 		}
-		rng := root.StreamN(label("churn"), int(p.ID))
+		rng := churn.N(int(p.ID))
 		if !rng.Bool(cfg.Churn) {
 			continue
 		}
@@ -233,7 +241,7 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 		}
 		for _, q := range prev.Friends(p.ID) {
 			if w.People[q].SchoolID == p.SchoolID && !rng.Bool(cfg.FormerRetainFrac) {
-				ev.removed = append(ev.removed, normEdge(p.ID, q))
+				ev.churned = append(ev.churned, normEdge(p.ID, q))
 			}
 		}
 	}
@@ -241,7 +249,7 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 	// 4. Transfer churn, in: outside-pool teens young enough for a current
 	// class convert to students. Population is fixed; the pool shrinks as
 	// schools refill.
-	d.TransferredIn = ev.evolveIntake(w, root, label("intake"))
+	d.TransferredIn = ev.evolveIntake(w, intake)
 
 	// 5. Privacy drift: accounts toggle one switch a year with small
 	// probability. PublicSearch and ListsSchool flips move people in and
@@ -251,7 +259,7 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 		if !p.HasAccount {
 			continue
 		}
-		rng := root.StreamN(label("privacy"), int(p.ID))
+		rng := privacy.N(int(p.ID))
 		if !rng.Bool(cfg.PrivacyDrift) {
 			continue
 		}
@@ -269,13 +277,17 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 
 	// 6. Dissolution (sharded): each person decides the fate of the edges
 	// they own (u < v) in the pre-step snapshot, from their own stream.
-	ev.removed = ev.shard(w, ev.removed, func(u socialgraph.UserID, out *[]socialgraph.Edge) {
-		rng := root.StreamN(label("dissolve"), int(u))
-		for _, v := range prev.Friends(u) {
-			if v > u && rng.Bool(cfg.Dissolve) {
-				*out = append(*out, socialgraph.Edge{A: u, B: v})
-			}
-		}
+	// Rows are sorted, so the owned edges are the suffix after u, and the
+	// output comes out normalized: ascending u across shards, ascending v
+	// within a row.
+	ev.dissolved = ev.shard(w, ev.dissolved, func(u socialgraph.UserID, out *[]socialgraph.Edge) {
+		row := prev.Friends(u)
+		i, _ := slices.BinarySearch(row, u+1)
+		owned := row[i:]
+		rng := dissolve.N(int(u))
+		rng.Hits(cfg.Dissolve, len(owned), func(j int) {
+			*out = append(*out, socialgraph.Edge{A: u, B: owned[j]})
+		})
 	})
 
 	// 7. Formation (sharded): students initiate new ties into their
@@ -288,18 +300,20 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 		if p.Role != RoleStudent || !p.HasAccount || p.SchoolID < 0 {
 			return
 		}
-		rng := root.StreamN(label("form"), int(u))
+		rng := form.N(int(u))
 		ci := w.Schools[p.SchoolID].CohortIndex(p.GradYear)
-		formTies(rng, prev, u, pools.cohort[p.SchoolID][ci], rng.Poisson(cfg.FormInCohort*p.Sociality), out)
-		formTies(rng, prev, u, pools.school[p.SchoolID], rng.Poisson(cfg.FormCrossCohort*p.Sociality), out)
-		formTies(rng, prev, u, pools.outside, rng.Poisson(cfg.FormOutside*p.Sociality), out)
+		formTies(&rng, prev, u, pools.cohort[p.SchoolID][ci], rng.Poisson(cfg.FormInCohort*p.Sociality), out)
+		formTies(&rng, prev, u, pools.school[p.SchoolID], rng.Poisson(cfg.FormCrossCohort*p.Sociality), out)
+		formTies(&rng, prev, u, pools.outside, rng.Poisson(cfg.FormOutside*p.Sociality), out)
 	})
 
-	d.Removed = socialgraph.NormalizeEdges(ev.removed)
+	// Churn and dissolution can remove the same edge; the merge keeps one.
+	ev.removed = socialgraph.MergeEdges(ev.removed[:0], socialgraph.NormalizeEdges(ev.churned), ev.dissolved)
+	d.Removed = ev.removed
 	d.Added = socialgraph.NormalizeEdges(ev.added)
-	sort.Slice(ev.dirty, func(i, j int) bool { return ev.dirty[i] < ev.dirty[j] })
-	sort.Ints(ev.schools)
-	sort.Strings(ev.cities)
+	slices.Sort(ev.dirty)
+	slices.Sort(ev.schools)
+	slices.Sort(ev.cities)
 	d.DirtyUsers = ev.dirty
 	d.DirtySchools = ev.schools
 	d.DirtyCities = ev.cities
@@ -318,7 +332,8 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 
 // reset re-arms the scratch for a new step, keeping backing arrays.
 func (ev *Evolver) reset(w *World) {
-	ev.removed = ev.removed[:0]
+	ev.churned = ev.churned[:0]
+	ev.dissolved = ev.dissolved[:0]
 	ev.added = ev.added[:0]
 	if len(ev.dirtyBit) != len(w.People) {
 		ev.dirtyBit = make([]bool, len(w.People))
@@ -385,10 +400,10 @@ func distinctCities(w *World) []string {
 }
 
 // evolveIntake converts outside-pool teens into incoming transfer
-// students, refilling each school toward its target. Candidates and
-// assignments are drawn in ID order from one labelled stream, so the
-// outcome is independent of everything else in the step.
-func (ev *Evolver) evolveIntake(w *World, root *sim.Rand, lbl string) int {
+// students, refilling each school toward its target. Candidates are visited
+// in ID order and each draws from its own stream of the intake family, so
+// the outcome is independent of everything else in the step.
+func (ev *Evolver) evolveIntake(w *World, streams sim.Streams) int {
 	cfg := ev.Cfg
 	if cap(ev.targets) < len(w.Schools) {
 		ev.targets = make([]int, len(w.Schools))
@@ -414,7 +429,7 @@ func (ev *Evolver) evolveIntake(w *World, root *sim.Rand, lbl string) int {
 		if age < 13 || age > 16 {
 			continue
 		}
-		rng := root.StreamN(lbl, int(p.ID))
+		rng := streams.N(int(p.ID))
 		school := -1
 		for sid, left := range targets {
 			if left > 0 {
@@ -549,9 +564,9 @@ func formTies(rng *sim.Rand, prev *socialgraph.Frozen, u socialgraph.UserID, poo
 
 // shard runs fn for every user ID across the Evolver's workers and appends
 // the per-worker edge lists to dst in shard order, reusing the per-worker
-// buffers across steps. fn must derive all randomness from identity-keyed
-// streams, so the concatenation order never matters once NormalizeEdges
-// sorts the result.
+// buffers across steps. Shards cover ascending ID ranges, so dst receives
+// fn's output in ascending u at any worker count. fn must derive all
+// randomness from identity-keyed streams.
 func (ev *Evolver) shard(w *World, dst []socialgraph.Edge, fn func(socialgraph.UserID, *[]socialgraph.Edge)) []socialgraph.Edge {
 	n := len(w.People)
 	workers := ev.Workers
