@@ -145,7 +145,7 @@ func main() {
 	accounts := flag.Int("accounts", 2, "fake accounts to register")
 	mode := flag.String("mode", "enhanced", "methodology: basic, enhanced")
 	threshold := flag.Int("t", 400, "selection threshold t")
-	epsilon := flag.Float64("epsilon", 1, "enhanced over-fetch factor")
+	epsilon := flag.Float64("epsilon", 1, "enhanced over-fetch factor ε > 0: profiles are downloaded for the top (1+ε)·t candidates")
 	filtering := flag.Bool("filter", true, "apply the Section 4.4 filters")
 	pace := flag.Duration("pace", 0, "politeness delay between requests (e.g. 200ms)")
 	dossiers := flag.Bool("dossiers", false, "run the Section 6 profile extension and report dossier stats")
@@ -393,8 +393,8 @@ func validate(f attackFlags) error {
 	if f.t < 1 {
 		bad("-t must be at least 1, got %d", f.t)
 	}
-	if !(f.epsilon >= 0) || math.IsInf(f.epsilon, 1) {
-		bad("-epsilon must be a finite number ≥ 0, got %v", f.epsilon)
+	if !(f.epsilon > 0) || math.IsInf(f.epsilon, 1) {
+		bad("-epsilon must be a finite number > 0 (a tiny ε such as 1e-9 gives the bare t window), got %v", f.epsilon)
 	}
 	if f.workers < 1 {
 		bad("-workers must be at least 1, got %d", f.workers)

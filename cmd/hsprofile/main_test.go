@@ -19,7 +19,6 @@ func TestValidate(t *testing.T) {
 		{"paced, budgeted, timed out", func(f *attackFlags) {
 			f.workers, f.failureBudget, f.pace, f.reqTimeout = 4, 3, 20*time.Millisecond, time.Second
 		}, nil},
-		{"epsilon 0", func(f *attackFlags) { f.epsilon = 0 }, nil},
 		{"no school", func(f *attackFlags) { f.school = "" }, []string{"-school"}},
 		{"mode typo", func(f *attackFlags) { f.mode = "enhnaced" }, []string{"-mode"}},
 		{"no accounts", func(f *attackFlags) { f.accounts = 0 }, []string{"-accounts"}},
@@ -28,6 +27,8 @@ func TestValidate(t *testing.T) {
 		{"epsilon NaN", func(f *attackFlags) { f.epsilon = math.NaN() }, []string{"-epsilon"}},
 		{"epsilon +Inf", func(f *attackFlags) { f.epsilon = math.Inf(1) }, []string{"-epsilon"}},
 		{"epsilon negative", func(f *attackFlags) { f.epsilon = -0.5 }, []string{"-epsilon"}},
+		{"epsilon 0", func(f *attackFlags) { f.epsilon = 0 }, []string{"-epsilon"}},
+		{"epsilon 1e-9", func(f *attackFlags) { f.epsilon = 1e-9 }, nil},
 		{"no workers", func(f *attackFlags) { f.workers = 0 }, []string{"-workers"}},
 		{"negative workers", func(f *attackFlags) { f.workers = -2 }, []string{"-workers"}},
 		{"negative failure budget", func(f *attackFlags) { f.failureBudget = -1 }, []string{"-failure-budget"}},

@@ -86,7 +86,8 @@ type Params struct {
 	CurrentYear int
 	// Mode selects basic vs enhanced.
 	Mode Mode
-	// Epsilon is the §4.3 over-fetch factor; the paper uses 1 throughout.
+	// Epsilon is the §4.3 over-fetch factor; the paper uses 1 throughout,
+	// and 0 selects it. A tiny ε such as 1e-9 gives the bare t window.
 	Epsilon float64
 	// MaxThreshold is the largest threshold t that later Select calls will
 	// use; it sizes the profile-download window. Typically the school's
@@ -228,7 +229,7 @@ func (r *Result) CandidateCount() int { return len(r.Ranked) }
 // (if filtering) candidates plus every self-declared current student. The
 // result is independent of crawling state as long as t ≤ MaxThreshold.
 func (r *Result) Select(t int, filtering bool) []Inferred {
-	out := make([]Inferred, 0, t+len(r.CorePrime))
+	out := make([]Inferred, 0, len(r.CorePrime)+min(max(t, 0), len(r.Ranked)))
 	for id, gy := range r.CorePrime {
 		out = append(out, Inferred{
 			ID: id, Name: r.corePrimeNames[id], GradYear: gy, FromCore: true,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,10 +257,16 @@ func TestSelectSemantics(t *testing.T) {
 			}
 		}
 	}
-	// Oversized t returns everything available without panicking.
+	// Oversized t returns everything available without panicking, and
+	// without sizing its output by t.
 	all := res.Select(1<<20, false)
 	if len(all) != len(res.Ranked)+len(res.CorePrime) {
 		t.Fatalf("oversized select returned %d", len(all))
+	}
+	for _, filtering := range []bool{false, true} {
+		if got, want := res.Select(math.MaxInt, filtering), res.Select(len(res.Ranked), filtering); !slices.Equal(got, want) {
+			t.Fatalf("Select(MaxInt, %v) returned %d, Select(|K|) %d", filtering, len(got), len(want))
+		}
 	}
 }
 
