@@ -227,9 +227,11 @@ func (r *Result) CandidateCount() int { return len(r.Ranked) }
 
 // Select materializes H = T ∪ C′ for a threshold t: the top-t unfiltered
 // (if filtering) candidates plus every self-declared current student. The
-// result is independent of crawling state as long as t ≤ MaxThreshold.
+// result is independent of crawling state as long as t ≤ MaxThreshold. A
+// negative t selects no candidates, as t = 0 does.
 func (r *Result) Select(t int, filtering bool) []Inferred {
-	out := make([]Inferred, 0, len(r.CorePrime)+min(max(t, 0), len(r.Ranked)))
+	t = max(t, 0)
+	out := make([]Inferred, 0, len(r.CorePrime)+min(t, len(r.Ranked)))
 	for id, gy := range r.CorePrime {
 		out = append(out, Inferred{
 			ID: id, Name: r.corePrimeNames[id], GradYear: gy, FromCore: true,

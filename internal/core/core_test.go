@@ -267,6 +267,10 @@ func TestSelectSemantics(t *testing.T) {
 		if got, want := res.Select(math.MaxInt, filtering), res.Select(len(res.Ranked), filtering); !slices.Equal(got, want) {
 			t.Fatalf("Select(MaxInt, %v) returned %d, Select(|K|) %d", filtering, len(got), len(want))
 		}
+		// A negative t takes no candidates, exactly as t = 0 does.
+		if got, want := res.Select(-1, filtering), res.Select(0, filtering); !slices.Equal(got, want) {
+			t.Fatalf("Select(-1, %v) returned %d, Select(0) %d", filtering, len(got), len(want))
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hsprofiler/internal/sim"
+	"hsprofiler/internal/socialgraph"
 	"hsprofiler/internal/worldgen"
 )
 
@@ -348,4 +349,137 @@ func TestConfigNegativeValuesNormalized(t *testing.T) {
 	if c.ThrottleWindow != d.ThrottleWindow {
 		t.Fatalf("negative window not defaulted: %v", c.ThrottleWindow)
 	}
+}
+
+// TestConcurrentPinnedEpochKeepsItsArrays: a request pinned inside
+// FriendPageFunc's emit holds its epoch's CSR snapshot across two more
+// evolve-and-advance rounds. While it is pinned, it re-reads every friend
+// page of its epoch, concurrently with the rounds, and each read must equal
+// a copy taken before them, although the first round reuses the drained
+// epoch before it and the second round's only spare is the pinned
+// snapshot. Once the pin drops, the next round writes into the pinned
+// snapshot's arrays, and reads of that snapshot panic. Under -race a round
+// that wrote into arrays the request still reads is also a reported data
+// race.
+func TestConcurrentPinnedEpochKeepsItsArrays(t *testing.T) {
+	w, err := worldgen.Generate(worldgen.TinyConfig(), 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlatform(w, Facebook(), Config{})
+	tok := attacker(t, p)
+	ev := worldgen.NewEvolver(worldgen.DefaultEvolveConfig(), 2)
+	round := func(year int) {
+		t.Helper()
+		d, err := ev.Step(w, year)
+		if err != nil {
+			t.Fatalf("evolve year %d: %v", year, err)
+		}
+		if st := p.AdvanceEpochDelta(context.Background(), d); !st.Incremental {
+			t.Fatalf("year %d: advance did not take the incremental path", year)
+		}
+	}
+	panics := func(fn func()) (did bool) {
+		defer func() { did = recover() != nil }()
+		fn()
+		return false
+	}
+
+	// Two rounds first, so every round below has a spare it could reuse.
+	round(1)
+	e1 := p.cur.Load()
+	round(2)
+	pinned := p.cur.Load()
+	before, err := epochFriendPages(p, pinned, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id PublicID
+	for u, pub := range p.pub {
+		if pub != "" && pinned.read.friendVisible[u] && pinned.read.frozen.Degree(socialgraph.UserID(u)) > 0 {
+			id = pub
+			break
+		}
+	}
+	if id == "" {
+		t.Fatal("no visible, non-empty friend list")
+	}
+
+	inEmit, resume := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		entered := false
+		var mismatch error
+		_, eid, err := p.FriendPageFunc(tok, id, 0, func(FriendRef) {
+			if entered {
+				return
+			}
+			entered = true
+			close(inEmit)
+			for last := false; !last; {
+				select {
+				case <-resume:
+					last = true // one more full read after the rounds
+				default:
+				}
+				during, err := epochFriendPages(p, pinned, tok)
+				if err == nil && !reflect.DeepEqual(during, before) {
+					err = errors.New("pinned epoch's friend pages changed under the pin")
+				}
+				if err != nil && mismatch == nil {
+					mismatch = err
+				}
+			}
+		})
+		if err == nil && eid != pinned.seq {
+			err = fmt.Errorf("request served by epoch %d, pinned %d", eid, pinned.seq)
+		}
+		done <- errors.Join(err, mismatch)
+	}()
+
+	<-inEmit
+	round(3)
+	if !panics(func() { e1.read.frozen.Degree(0) }) {
+		t.Error("round 3 did not reuse the drained epoch 1's snapshot")
+	}
+	round(4)
+	if pinned.released.Load() {
+		t.Fatal("pinned epoch released while a request still pins it")
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !pinned.released.Load() {
+		t.Fatal("pinned epoch not released after its last request finished")
+	}
+	round(5)
+	if !panics(func() { pinned.read.frozen.Degree(0) }) {
+		t.Fatal("round 5 did not reuse the drained pinned epoch's snapshot")
+	}
+}
+
+// epochFriendPages reads every page of every stranger-visible friend list
+// of epoch e, in ID order.
+func epochFriendPages(p *Platform, e *epoch, tok string) ([]string, error) {
+	var out []string
+	var refs []FriendRef
+	emit := func(f FriendRef) { refs = append(refs, f) }
+	for u, id := range p.pub {
+		if id == "" || !e.read.friendVisible[u] {
+			continue
+		}
+		for page := 0; ; page++ {
+			refs = refs[:0]
+			more, err := p.friendPage(e, tok, id, page, emit)
+			if err != nil {
+				return nil, fmt.Errorf("friends of %s, page %d: %w", id, page, err)
+			}
+			out = append(out, fmt.Sprintf("%s p%d %v more=%v", id, page, refs, more))
+			if !more {
+				break
+			}
+		}
+	}
+	return out, nil
 }

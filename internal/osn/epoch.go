@@ -132,13 +132,16 @@ func (p *Platform) unpin(e *epoch) {
 }
 
 // release retires an epoch exactly once: the drain-before-retire
-// accounting (gauge, counter, event). The epoch's memory is reclaimed by
-// GC once the last reader drops its pointer; what release guarantees is
-// that the platform observed the drain.
+// accounting (gauge, counter, event), and the release of the epoch's hold
+// on its CSR snapshot, whose arrays a later evolution step may then reuse.
+// The rest of the epoch's memory is reclaimed by GC once the last reader
+// drops its pointer; what release guarantees is that the platform
+// observed the drain.
 func (p *Platform) release(e *epoch) {
 	if !e.released.CompareAndSwap(false, true) {
 		return
 	}
+	e.read.frozen.Release()
 	p.epochsLiveG.Dec()
 	p.epochRetired.Inc()
 	p.lg.Info(context.Background(), "osn.epoch", "epoch retired",

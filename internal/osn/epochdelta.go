@@ -94,6 +94,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 		friendVisible:  make([]bool, n),
 		profiles:       make([]*PublicProfile, n),
 	}
+	rp.frozen.Retain()
 	copy(rp.regMinor, old.regMinor)
 	copy(rp.searchEligible, old.searchEligible)
 	copy(rp.friendVisible, old.friendVisible)

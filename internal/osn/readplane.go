@@ -13,7 +13,9 @@ import (
 // remainder (throttle windows, budgets, suspensions, cached search views)
 // lives in the sharded control plane.
 type readPlane struct {
-	// frozen is the CSR snapshot of the friendship graph.
+	// frozen is the CSR snapshot of the friendship graph. The read plane
+	// holds it from its build until Platform.release, so no later patch
+	// writes into its arrays while a pinned request can still read them.
 	frozen *socialgraph.Frozen
 	// names[u] is the display name of account holder u ("" otherwise).
 	names []string
@@ -51,6 +53,7 @@ func buildReadPlane(w *worldgen.World, pol *Policy, pub []PublicID) *readPlane {
 		friendVisible:  make([]bool, n),
 		profiles:       make([]*PublicProfile, n),
 	}
+	rp.frozen.Retain()
 	for _, person := range w.People {
 		if !person.HasAccount {
 			continue

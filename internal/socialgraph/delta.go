@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,10 +10,11 @@ import (
 
 // PatchStats reports where an incremental ApplyDelta spent its time, so the
 // rotation benchmarks can break epoch advance into phases. Copy is the
-// clean-span memmove phase (rows whose edge set did not change, shared
-// between epochs by value); Merge is the dirty-row phase (rows re-emitted by
-// a linear 3-way merge — the incremental analog of the full rebuild's
-// per-row sort); Prep covers validation and patch-list construction.
+// clean-span memmove phase (rows whose edge set did not change, copied
+// into the new adjacency by value); Merge is the dirty-row phase (rows
+// re-emitted by a linear 3-way merge — the incremental analog of the full
+// rebuild's per-row sort); Prep covers validation, patch-list construction
+// and finding the new snapshot's arrays.
 type PatchStats struct {
 	DirtyRows int // rows whose edge set changed in this delta
 	Spans     int // contiguous clean spans copied wholesale
@@ -21,20 +23,63 @@ type PatchStats struct {
 	Merge     time.Duration
 }
 
+// maxSpares bounds the earlier snapshots a PatchScratch keeps for reuse.
+const maxSpares = 2
+
 // PatchScratch is the reusable working memory of an incremental patch: the
 // directed patch lists, the dirty-row set with its per-row subrange tables,
-// and the counting array behind the scatter sort. At metro scale these come
-// to ~90MB per patch — reusing one PatchScratch across a rotation run means
-// each epoch allocates only the snapshot it returns, keeping the collector
-// out of the timed path. The zero value is ready to use. A PatchScratch must
-// not be shared by concurrent patches; the returned snapshot never aliases
-// it.
+// the counting array behind the scatter sort, and up to two earlier input
+// snapshots whose arrays a later patch may write into. At metro scale the
+// working lists come to ~90MB per patch, and the adjacency each patch
+// returns to ~31MB. Reusing one PatchScratch across a rotation run keeps
+// both out of the allocator: once an earlier input has been retained and
+// every hold on it released (see Frozen), the next patch writes its
+// snapshot into that input's arrays. The zero value is ready to use. A
+// PatchScratch must not be shared by concurrent patches; the returned
+// snapshot never aliases it.
 type PatchScratch struct {
-	pos          []int32  // counting/offset array for the scatter, len n
-	dadds, drems []Edge   // directed patch lists, sorted by (row, friend)
-	dirty        []UserID // sorted union of rows touched by the patch
-	addLo, addHi []int32  // dirty[i]'s subrange of dadds
-	remLo, remHi []int32  // dirty[i]'s subrange of drems
+	pos          []int32   // counting/offset array for the scatter, len n
+	dadds, drems []Edge    // directed patch lists, sorted by (row, friend)
+	dirty        []UserID  // sorted union of rows touched by the patch
+	addLo, addHi []int32   // dirty[i]'s subrange of dadds
+	remLo, remHi []int32   // dirty[i]'s subrange of drems
+	spare        []*Frozen // earlier inputs, oldest first, at most maxSpares
+}
+
+// arrays returns the offsets (length n) and adjacency (length m) of the
+// snapshot patched from f: the arrays of the oldest spare other than f
+// that was retained and has had every hold released, or fresh ones. An
+// array too small for its new length is allocated afresh. The patch
+// overwrites every entry of both.
+func (s *PatchScratch) arrays(f *Frozen, n, m int) ([]int64, []UserID) {
+	for i, c := range s.spare {
+		if c == f {
+			continue
+		}
+		if offsets, adj, ok := c.reclaim(); ok {
+			s.spare = slices.Delete(s.spare, i, i+1)
+			if cap(offsets) < n {
+				offsets = make([]int64, n)
+			}
+			if cap(adj) < m {
+				adj = make([]UserID, m)
+			}
+			return offsets[:n], adj[:m]
+		}
+	}
+	return make([]int64, n), make([]UserID, m)
+}
+
+// keep records the input f of a finished patch as a spare for later ones,
+// dropping the oldest spare beyond maxSpares.
+func (s *PatchScratch) keep(f *Frozen) {
+	if slices.Contains(s.spare, f) {
+		return
+	}
+	if len(s.spare) == maxSpares {
+		s.spare = slices.Delete(s.spare, 0, 1)
+	}
+	s.spare = append(s.spare, f)
 }
 
 func growInt32(s []int32, n int) []int32 {
@@ -60,6 +105,13 @@ func growEdges(s []Edge, n int) []Edge {
 // is materialized, no row is ever re-sorted, and the result is
 // byte-identical to building the patched edge set from scratch with a
 // FrozenBuilder.
+//
+// The new offsets and adjacency are written into the arrays of an earlier
+// input of s when that snapshot was retained and every hold on it has been
+// released, and are allocated otherwise; the reused snapshot's header is
+// cleared (see Frozen). f becomes a spare of s once the patch succeeds.
+// Callers that keep f after installing the result must hold it with
+// Retain.
 //
 // Both slices must be normalized (see NormalizeEdges). Every edge in
 // removes must exist in f; no edge in adds may exist in f (an edge removed
@@ -90,11 +142,11 @@ func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratc
 	dadds, drems := s.dadds, s.drems
 
 	next := &Frozen{
-		offsets: make([]int64, n+1),
 		present: f.present,
 		users:   f.users,
 		edges:   f.edges + len(adds) - len(removes),
 	}
+	next.offsets, next.adj = s.arrays(f, n+1, len(f.adj)+2*(len(adds)-len(removes)))
 	// One fused O(n + patch) pass over the rows: the new offsets (a running
 	// shift accumulates each row's degree delta; clean rows keep their old
 	// degree), the sorted dirty-row set, and each dirty row's subranges of
@@ -117,6 +169,9 @@ func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratc
 			shift--
 		}
 		if ai > a0 || ri > r0 {
+			if f.offsets[u+1]+shift < next.offsets[u] {
+				return nil, st, fmt.Errorf("socialgraph: delta removes %d edges from row %d of degree %d", ri-r0, u, f.offsets[u+1]-f.offsets[u])
+			}
 			s.dirty = append(s.dirty, UserID(u))
 			s.addLo = append(s.addLo, int32(a0))
 			s.addHi = append(s.addHi, int32(ai))
@@ -125,7 +180,6 @@ func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratc
 		}
 	}
 	next.offsets[n] = f.offsets[n] + shift
-	next.adj = make([]UserID, next.offsets[n])
 	dirty := s.dirty
 	addLo, addHi, remLo, remHi := s.addLo, s.addHi, s.remLo, s.remHi
 	st.DirtyRows = len(dirty)
@@ -171,32 +225,43 @@ func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratc
 	if u := bad.Load(); u >= 0 {
 		return nil, st, fmt.Errorf("socialgraph: patch merge mismatch at row %d", u)
 	}
+	s.keep(f)
 	return next, st, nil
 }
 
 // validateDelta enforces the cheap half of the ApplyDelta contract in
-// O(|delta|): both lists normalized and strictly ascending, endpoints in
-// range and present. Membership (removes exist in f, adds do not) is NOT
+// O(|delta|): both endpoints of every edge in range, both lists normalized
+// and strictly ascending, add endpoints present, and no more removals than
+// f has edges. Membership (removes exist in f, adds do not) is NOT
 // probed here — per-edge binary searches over a metro-scale adjacency are
 // cache-hostile and dominated the patch — it is enforced for free by the
 // per-row merge, which fails loudly on any edge that does not line up.
 func validateDelta(f *Frozen, adds, removes []Edge) error {
 	n := len(f.present)
+	inIDSpace := func(e Edge) bool {
+		return e.A >= 0 && e.B >= 0 && int(e.A) < n && int(e.B) < n
+	}
 	for i, e := range adds {
-		if e.A < 0 || int(e.B) >= n || !f.present[e.A] || !f.present[e.B] {
-			return fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
+		if !inIDSpace(e) {
+			return fmt.Errorf("socialgraph: delta adds edge (%d,%d) outside the ID space", e.A, e.B)
 		}
 		if e.A >= e.B || (i > 0 && compareEdges(adds[i-1], e) >= 0) {
 			return fmt.Errorf("socialgraph: delta adds not normalized at (%d,%d)", e.A, e.B)
 		}
+		if !f.present[e.A] || !f.present[e.B] {
+			return fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
+		}
 	}
 	for i, e := range removes {
-		if e.A < 0 || int(e.B) >= n {
+		if !inIDSpace(e) {
 			return fmt.Errorf("socialgraph: delta removes edge (%d,%d) outside the ID space", e.A, e.B)
 		}
 		if e.A >= e.B || (i > 0 && compareEdges(removes[i-1], e) >= 0) {
 			return fmt.Errorf("socialgraph: delta removes not normalized at (%d,%d)", e.A, e.B)
 		}
+	}
+	if len(removes) > f.edges {
+		return fmt.Errorf("socialgraph: delta removes %d edges from a snapshot of %d", len(removes), f.edges)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestApplyDeltaMatchesMutableRebuild: the incremental CSR rebuild must be
@@ -76,8 +77,23 @@ func TestApplyDeltaRejectsBadDeltas(t *testing.T) {
 	if _, _, err := ApplyDelta(f, []Edge{{0, 1}}, nil, 1, new(PatchScratch)); err == nil {
 		t.Fatal("re-adding an existing edge did not fail")
 	}
-	if _, _, err := ApplyDelta(f, []Edge{{3, 9}}, nil, 1, new(PatchScratch)); err == nil {
-		t.Fatal("adding an edge outside the ID space did not fail")
+	// Out-of-range endpoints fail before any lookup by ID, whatever their
+	// order.
+	for _, e := range []Edge{{3, 9}, {9, 3}, {0, -1}, {-1, 2}} {
+		if _, _, err := ApplyDelta(f, []Edge{e}, nil, 1, new(PatchScratch)); err == nil {
+			t.Fatalf("adding edge %v outside the ID space did not fail", e)
+		}
+		if _, _, err := ApplyDelta(f, nil, []Edge{e}, 1, new(PatchScratch)); err == nil {
+			t.Fatalf("removing edge %v outside the ID space did not fail", e)
+		}
+	}
+	// Removals a row or the snapshot cannot cover fail without sizing
+	// anything by them.
+	if _, _, err := ApplyDelta(f, nil, []Edge{{0, 2}, {0, 3}}, 1, new(PatchScratch)); err == nil {
+		t.Fatal("removing more edges than a row has did not fail")
+	}
+	if _, _, err := ApplyDelta(f, nil, []Edge{{0, 2}, {0, 3}, {1, 3}}, 1, new(PatchScratch)); err == nil {
+		t.Fatal("removing more edges than the snapshot has did not fail")
 	}
 
 	// The empty delta is the identity.
@@ -180,6 +196,200 @@ func TestApplyDeltaChainByteIdentical(t *testing.T) {
 			cur = next
 		}
 	}
+}
+
+// randomDelta draws a normalized delta against f: every edge removed with
+// probability pRemove, and up to nAdds new edges between distinct users.
+// Every ID of f must be present.
+func randomDelta(rng *rand.Rand, f *Frozen, pRemove float64, nAdds int) (adds, removes []Edge) {
+	n := f.NumIDs()
+	for u := 0; u < n; u++ {
+		for _, v := range f.row(UserID(u)) {
+			if v > UserID(u) && rng.Float64() < pRemove {
+				removes = append(removes, Edge{UserID(u), v})
+			}
+		}
+	}
+	for len(adds) < nAdds {
+		a, b := UserID(rng.Intn(n)), UserID(rng.Intn(n))
+		if a != b && !f.AreFriends(a, b) {
+			adds = append(adds, Edge{a, b})
+		}
+	}
+	return NormalizeEdges(adds), NormalizeEdges(removes)
+}
+
+func binaryImage(t *testing.T, f *Frozen) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := f.WriteBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestApplyDeltaReuse covers the lifetime of a snapshot's arrays: a patch
+// writes into the arrays of an earlier input only once that input was
+// retained and every hold on it was released, overwrites every entry, and
+// leaves the old snapshot's row accessors panicking.
+func TestApplyDeltaReuse(t *testing.T) {
+	// A retain/release chain, each snapshot held from the step that makes
+	// it until the step that replaces it, as a World holds its graph.
+	// Before each patch every array the patch may reuse is filled with a
+	// sentinel, so an entry the patch did not overwrite would show in the
+	// byte comparison with a FrozenBuilder rebuild. At 3,000 IDs the dirty
+	// rows and clean spans pass parallelFor's threshold, so four workers
+	// really split both phases.
+	t.Run("chain", func(t *testing.T) {
+		const steps = 7
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(int64(41 + workers)))
+			cur := randomGraph(t, 3000, 12000, 43).Freeze()
+			cur.Retain()
+			var s PatchScratch
+			reused := 0
+			for step := 0; step < steps; step++ {
+				// The chain shrinks, so every spare fits the next snapshot,
+				// until the last step doubles the graph past every spare's
+				// capacity.
+				nAdds := 200
+				if step == steps-1 {
+					nAdds = cur.NumEdges()
+				}
+				adds, removes := randomDelta(rng, cur, 0.08, nAdds)
+				released := map[*UserID]bool{}
+				for _, c := range s.spare {
+					if c.retained.Load() && c.holds.Load() == 0 {
+						for i := range c.offsets {
+							c.offsets[i] = -1 << 40
+						}
+						for i := range c.adj {
+							c.adj[i] = -7
+						}
+						released[unsafe.SliceData(c.adj)] = true
+					}
+				}
+				want, err := ApplyDeltaRebuild(cur, adds, removes, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next, _, err := ApplyDelta(cur, adds, removes, workers, &s)
+				if err != nil {
+					t.Fatalf("workers=%d step=%d: %v", workers, step, err)
+				}
+				reuse := released[unsafe.SliceData(next.adj)]
+				if err := next.CheckInvariants(); err != nil {
+					t.Fatalf("workers=%d step=%d (reused %v): %v", workers, step, reuse, err)
+				}
+				if !bytes.Equal(binaryImage(t, next), binaryImage(t, want)) {
+					t.Fatalf("workers=%d step=%d (reused %v): patch diverges from a FrozenBuilder rebuild", workers, step, reuse)
+				}
+				if reuse {
+					reused++
+					if step == steps-1 {
+						t.Fatalf("workers=%d: a spare too small for the grown graph was reused", workers)
+					}
+				}
+				next.Retain()
+				cur.Release()
+				cur = next
+			}
+			// Step 0 has no spare and the last step outgrows them; every
+			// step in between reuses the snapshot released the step before.
+			if reused != steps-2 {
+				t.Fatalf("workers=%d: %d of %d steps reused a released snapshot, want %d", workers, reused, steps, steps-2)
+			}
+		}
+	})
+
+	// A snapshot a clone still holds is not reused after the world lets
+	// go; once the clone releases it, the next patch reuses it, and the
+	// reused snapshot's accessors panic instead of reading the new rows.
+	t.Run("held", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		var s PatchScratch
+		step := func(cur *Frozen) *Frozen {
+			t.Helper()
+			adds, removes := randomDelta(rng, cur, 0.1, 10)
+			next, _, err := ApplyDelta(cur, adds, removes, 1, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next.Retain()
+			cur.Release()
+			return next
+		}
+		f0 := randomGraph(t, 200, 800, 53).Freeze()
+		f0.Retain() // the world's hold, dropped by the first step
+		f0.Retain() // a clone's hold
+		image, adj0 := binaryImage(t, f0), unsafe.SliceData(f0.adj)
+		f2 := step(step(f0))
+		if unsafe.SliceData(f2.adj) == adj0 || !bytes.Equal(binaryImage(t, f0), image) {
+			t.Fatal("patch reused the arrays of a snapshot a clone still holds")
+		}
+		f0.Release()
+		if f3 := step(f2); unsafe.SliceData(f3.adj) != adj0 {
+			t.Fatal("patch did not reuse the oldest snapshot whose holds were all released")
+		}
+		mustPanic(t, "Friends on a reused snapshot", func() { f0.Friends(1) })
+		mustPanic(t, "Degree on a reused snapshot", func() { f0.Degree(1) })
+		mustPanic(t, "ForEachFriend on a reused snapshot", func() { f0.ForEachFriend(1, func(UserID) {}) })
+		mustPanic(t, "AreFriends on a reused snapshot", func() { f0.AreFriends(1, 2) })
+		mustPanic(t, "MutualFriends on a reused snapshot", func() { f0.MutualFriends(1, 2) })
+		mustPanic(t, "Jaccard on a reused snapshot", func() { f0.Jaccard(1, 2) })
+		mustPanic(t, "WriteBinary of a reused snapshot", func() { f0.WriteBinary(new(bytes.Buffer)) })
+		mustPanic(t, "Retain of a reused snapshot", f0.Retain)
+		mustPanic(t, "Release of a reused snapshot", f0.Release)
+	})
+
+	// A chain nobody retains never reuses: its holders are unknown, so
+	// every earlier snapshot stays readable as it was.
+	t.Run("never retained", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(59))
+		cur := randomGraph(t, 200, 800, 61).Freeze()
+		var s PatchScratch
+		var chain []*Frozen
+		var images [][]byte
+		for step := 0; step < 4; step++ {
+			chain = append(chain, cur)
+			images = append(images, binaryImage(t, cur))
+			adds, removes := randomDelta(rng, cur, 0.1, 10)
+			next, _, err := ApplyDelta(cur, adds, removes, 1, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range chain {
+				if unsafe.SliceData(next.adj) == unsafe.SliceData(f.adj) {
+					t.Fatalf("step %d reused snapshot %d, which nobody retained", step, i)
+				}
+			}
+			cur = next
+		}
+		for i, f := range chain {
+			if !bytes.Equal(binaryImage(t, f), images[i]) {
+				t.Fatalf("snapshot %d of an unretained chain changed", i)
+			}
+		}
+	})
+
+	t.Run("release below zero", func(t *testing.T) {
+		f := randomGraph(t, 20, 40, 67).Freeze()
+		mustPanic(t, "Release of a never-retained snapshot", f.Release)
+		g := randomGraph(t, 20, 40, 71).Freeze()
+		g.Retain()
+		g.Release()
+		mustPanic(t, "Release past the last hold", g.Release)
+	})
 }
 
 // ApplyDeltaRebuild is the full-rebuild reference for ApplyDelta: the

@@ -1,17 +1,30 @@
 package socialgraph
 
-import "sort"
+import (
+	"math"
+	"sort"
+	"sync/atomic"
+)
 
 // Frozen is the friendship graph: an immutable compressed-sparse-row (CSR)
 // snapshot. Adjacency lives in one flat, ID-sorted slice per row, so the
 // read plane of the platform can serve friend lookups with zero
 // allocation, cache-friendly scans and no locking: a Frozen is safe for
-// unlimited concurrent readers by construction, because nothing can mutate
-// it.
+// unlimited concurrent readers, because nothing mutates it while it is
+// held (see Lifetime below).
 //
 // A FrozenBuilder assembles the first snapshot of a world from its edge
 // lists, DecodeFrozen reloads one, and ApplyDelta derives the next
 // snapshot from an edge delta.
+//
+// Lifetime: a holder that keeps a snapshot across evolution steps takes a
+// hold with Retain and drops it with Release. Once a snapshot has been
+// retained and every hold released, a later ApplyDelta on the PatchScratch
+// that took it as input may write a newer snapshot into its offsets and
+// adjacency arrays. It then clears the old snapshot's header, so a stale
+// reader's row lookups panic instead of reading another year's rows. A
+// snapshot nobody ever retained is never reused, and the present bitmap,
+// shared by every snapshot of a chain, never is.
 type Frozen struct {
 	// offsets[u]..offsets[u+1] indexes u's row in adj. len(offsets) is
 	// NumIDs+1 so the slice expression needs no bounds special-casing.
@@ -24,6 +37,47 @@ type Frozen struct {
 	present []bool
 	users   int
 	edges   int
+
+	// holds counts Retain calls not yet matched by Release; reclaimed once
+	// the arrays have been handed to a newer snapshot. retained records
+	// that a hold was ever taken.
+	holds    atomic.Int32
+	retained atomic.Bool
+}
+
+// reclaimed is holds' value once the arrays were reused. It is far enough
+// from zero that a later Retain or Release still sees a negative count.
+const reclaimed = math.MinInt32 / 2
+
+// Retain takes a hold on the snapshot: its arrays are not reused while the
+// hold lasts. It panics if the arrays were already reused.
+func (f *Frozen) Retain() {
+	f.retained.Store(true)
+	if f.holds.Add(1) <= 0 {
+		panic("socialgraph: Retain of a snapshot whose arrays were reused")
+	}
+}
+
+// Release drops a hold taken by Retain. After the last hold is released
+// the holder must not read the snapshot again: its arrays may be reused.
+// It panics when no hold is left to release.
+func (f *Frozen) Release() {
+	if f.holds.Add(-1) < 0 {
+		panic("socialgraph: Release without a matching Retain")
+	}
+}
+
+// reclaim takes the snapshot's offsets and adjacency arrays if it was
+// retained and every hold has been released, clearing its header so a
+// stale reader's row lookups panic. ok is false, and nothing changes,
+// otherwise.
+func (f *Frozen) reclaim() (offsets []int64, adj []UserID, ok bool) {
+	if !f.retained.Load() || !f.holds.CompareAndSwap(0, reclaimed) {
+		return nil, nil, false
+	}
+	offsets, adj = f.offsets, f.adj
+	f.offsets, f.adj, f.users, f.edges = nil, nil, 0, 0
+	return offsets, adj, true
 }
 
 // row returns u's adjacency slice, or nil for unknown IDs.

@@ -103,9 +103,13 @@ type Delta struct {
 // Evolver advances a world year by year, reusing its edge buffers, dirty
 // bitsets and formation-pool scratch across steps so long temporal runs
 // (longitudinal panels, rotation benchmarks, osnd -evolve) do not pay a
-// fresh allocation storm per epoch. A fresh Evolver and a reused one
-// produce bit-identical worlds — all randomness is identity-keyed, none of
-// the scratch leaks into decisions.
+// fresh allocation storm per epoch. Its CSR patch scratch also keeps the
+// snapshots earlier steps started from: once nothing holds one any more
+// (the world released it when the step replaced it, and a serving epoch
+// releases it when it drains), a later step writes its snapshot into that
+// one's arrays instead of allocating a new adjacency. A fresh Evolver and
+// a reused one produce bit-identical worlds — all randomness is
+// identity-keyed, none of the scratch leaks into decisions.
 //
 // Not safe for concurrent use; the Delta returned by Step aliases the
 // scratch and is valid until the next Step.
@@ -150,7 +154,8 @@ func Evolve(w *World, cfg EvolveConfig, epoch, workers int) (*Delta, error) {
 // Step advances the world by one simulated year. The next CSR snapshot is
 // built incrementally with socialgraph.ApplyDelta — cost proportional to
 // the edge delta, not the world — so after Step returns, w.Frozen() is the
-// new epoch's snapshot without a full rebuild.
+// new epoch's snapshot without a full rebuild, and the world no longer
+// holds the snapshot the step started from.
 //
 // Determinism: every decision draws from a stream keyed by
 // (seed, "evolve/<epoch>/<phase>", personID), never from a shared
@@ -320,7 +325,7 @@ func (ev *Evolver) Step(w *World, epoch int) (*Delta, error) {
 
 	// Patch the pre-step CSR into the next snapshot — dirty rows merged,
 	// clean spans copied wholesale, nothing re-sorted, and the patch's
-	// working memory reused from the previous step.
+	// working memory, and a released earlier snapshot's arrays, reused.
 	next, st, err := socialgraph.ApplyDelta(prev, d.Added, d.Removed, workers, &ev.patch)
 	if err != nil {
 		return nil, fmt.Errorf("worldgen: evolve epoch %d: %w", epoch, err)

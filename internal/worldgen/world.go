@@ -46,16 +46,24 @@ type World struct {
 	frozen atomic.Pointer[socialgraph.Frozen]
 }
 
-// SetFrozen installs a CSR snapshot as the world's friendship graph.
+// SetFrozen installs a CSR snapshot as the world's friendship graph. The
+// world holds the snapshot it serves: SetFrozen retains f and releases the
+// snapshot it replaces (see socialgraph.Frozen).
 func (w *World) SetFrozen(f *socialgraph.Frozen) {
-	w.frozen.Store(f)
+	f.Retain()
+	if old := w.frozen.Swap(f); old != nil {
+		old.Release()
+	}
 }
 
 // Frozen returns the immutable CSR snapshot of the friendship graph. All
 // serving and analysis paths read it; it is lock-free and allocation-free
 // for concurrent readers. Evolve replaces the world's snapshot with the
-// next one, never changing a snapshot already handed out, and clones share
-// it.
+// next one and releases the world's hold on the old one; clones share the
+// snapshot and hold it too. Once no world, clone or serving epoch holds a
+// replaced snapshot, a later evolution step of the same Evolver may write
+// a newer snapshot into its arrays, so a caller that reads a snapshot
+// across evolution steps must hold it with Retain until it is done.
 func (w *World) Frozen() *socialgraph.Frozen {
 	return w.frozen.Load()
 }
@@ -199,8 +207,10 @@ func (w *World) CheckInvariants() error {
 }
 
 // Clone returns a copy of the world with independently mutable Person
-// records but the same immutable friendship graph snapshot. The §7 without-COPPA counterfactual re-registers every account
-// truthfully on such a clone without touching the original.
+// records but the same immutable friendship graph snapshot, which the
+// clone holds as the original does. The §7 without-COPPA counterfactual
+// re-registers every account truthfully on such a clone without touching
+// the original.
 func (w *World) Clone() *World {
 	c := &World{Seed: w.Seed, Now: w.Now, Schools: w.Schools}
 	c.SetFrozen(w.Frozen())
