@@ -26,11 +26,11 @@ import (
 
 	"hsprofiler/internal/core"
 	"hsprofiler/internal/crawler"
+	"hsprofiler/internal/crawler/cache"
 	"hsprofiler/internal/extend"
 	"hsprofiler/internal/obs"
 	"hsprofiler/internal/obs/evlog"
 	"hsprofiler/internal/osnhttp"
-	"hsprofiler/internal/store"
 )
 
 // runOutputs gathers every observability artifact of one run — the trace,
@@ -180,28 +180,28 @@ func main() {
 		pacer = osnhttp.SleepPace{Interval: *pace}
 	}
 	client := osnhttp.NewClient(*url, nil, pacer).WithSeed(*reqSeed).WithLog(out.lg)
-	if err := client.RegisterAccounts(*accounts); err != nil {
-		fatal(err)
-	}
-	// All fetches flow through a crawl store (the study kept its parses in
-	// an SQL database); -archive exports it and -resume reloads it, so an
-	// interrupted crawl picks up where it stopped.
-	crawlStore := store.New()
+	// All fetches flow through one fetch cache (the study kept its parses
+	// in an SQL database); -archive exports it and -resume restores it, so
+	// an interrupted crawl picks up where it stopped. The archive is read
+	// before any account is registered.
+	cached := cache.New(client)
 	if *resume != "" {
 		f, err := os.Open(*resume)
 		if err != nil {
 			fatal(err)
 		}
-		crawlStore, err = store.ReadJSON(f)
+		cached, err = cache.ReadJSON(f, client)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("resuming from %s: %w", *resume, err))
 		}
-		st := crawlStore.Stats()
+		n := cached.Contents()
 		fmt.Printf("resuming: %d profiles, %d friend lists, %d partial lists already archived\n",
-			st.Profiles, st.FriendLists+st.HiddenLists, st.PartialLists)
+			n.Profiles, n.FriendLists+n.HiddenLists, n.PartialLists)
 	}
-	cached := store.NewCachedClient(client, crawlStore)
+	if err := client.RegisterAccounts(*accounts); err != nil {
+		fatal(err)
+	}
 	sess := crawler.NewSession(cached).Instrument(out.reg).WithLog(out.lg)
 	sess.Timeout = *reqTimeout
 
@@ -252,17 +252,7 @@ func main() {
 		Workers:       *workers,
 	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "hsprofile: interrupted; writing partial archive")
-			writeArchive(*archive, crawlStore, out.lg)
-			// The trace, manifest and event log are flushed on interrupt
-			// too — a day-long crawl's observability must survive ^C.
-			out.flush(true)
-			os.Exit(130)
-		}
-		writeArchive(*archive, crawlStore, out.lg)
-		out.flush(true)
-		fatal(err)
+		os.Exit(finish(out, *archive, cached, err))
 	}
 	sel := res.Select(*threshold, *filtering)
 
@@ -277,7 +267,7 @@ func main() {
 			res.Retries.Total(), res.Retries.SeedRequests, res.Retries.ProfileRequests,
 			res.Retries.FriendListRequests, res.Failures.Total(), res.FailedFetches)
 	}
-	if saved := cached.Saved().Total(); saved > 0 {
+	if saved := cached.Stats().Hits.Total(); saved > 0 {
 		fmt.Printf("archive cache: %d requests served locally\n", saved)
 	}
 	fmt.Printf("inferred students (|H| = %d):\n", len(sel))
@@ -305,8 +295,7 @@ func main() {
 		dossierEffort := sess.Effort().Sub(before)
 		span.End()
 		if err != nil {
-			out.flush(true)
-			fatal(err)
+			os.Exit(finish(out, *archive, cached, err))
 		}
 		minors := d.MinorProfiles(sel, res.School)
 		st := d.AdultMinorTable(sel, *year)
@@ -334,35 +323,61 @@ func main() {
 		out.manifest.SetParam("result_candidates", res.CandidateCount())
 	}
 
-	writeArchive(*archive, crawlStore, out.lg)
-	out.flush(false)
+	os.Exit(finish(out, *archive, cached, nil))
 }
 
-// writeArchive exports the crawl store to path (no-op when path is empty).
-// It is called on success, interruption, and failure alike: whatever was
-// fetched is never lost. Each export is logged as a "checkpoint" event.
-func writeArchive(path string, crawlStore *store.Store, lg *evlog.Logger) {
+// finish ends a run on every path, clean, interrupted or failed: it writes
+// the archive, then flushes the run outputs, replaying the flight recorder
+// if anything failed, and only then reports errors. A bad -archive path
+// therefore never costs the trace, manifest or event log. It returns the
+// exit status: 130 for an interrupt whose archive was written, 1 for any
+// other error.
+func finish(out *runOutputs, archivePath string, c *cache.Cache, runErr error) int {
+	interrupted := errors.Is(runErr, context.Canceled)
+	if interrupted {
+		fmt.Fprintln(os.Stderr, "hsprofile: interrupted; writing partial archive")
+	}
+	archiveErr := writeArchive(archivePath, c, out.lg)
+	out.flush(runErr != nil || archiveErr != nil)
+	code := 0
+	if interrupted {
+		code = 130
+	} else if runErr != nil {
+		fmt.Fprintf(os.Stderr, "hsprofile: %v\n", runErr)
+		code = 1
+	}
+	if archiveErr != nil {
+		fmt.Fprintf(os.Stderr, "hsprofile: archive %s: %v\n", archivePath, archiveErr)
+		code = 1
+	}
+	return code
+}
+
+// writeArchive exports the fetch cache to path (no-op when path is empty),
+// logging each export as a "checkpoint" event.
+func writeArchive(path string, c *cache.Cache, lg *evlog.Logger) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := crawlStore.WriteJSON(f); err != nil {
+	if err := c.WriteJSON(f); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	st := crawlStore.Stats()
+	n := c.Contents()
 	lg.Info(context.Background(), "checkpoint", "archive written",
-		evlog.Str("path", path), evlog.Int("profiles", st.Profiles),
-		evlog.Int("friend_lists", st.FriendLists+st.HiddenLists),
-		evlog.Int("partial_lists", st.PartialLists))
+		evlog.Str("path", path), evlog.Int("profiles", n.Profiles),
+		evlog.Int("friend_lists", n.FriendLists+n.HiddenLists),
+		evlog.Int("partial_lists", n.PartialLists))
 	fmt.Printf("\narchive: %d profiles, %d friend lists (%d hidden), %d partial -> %s\n",
-		st.Profiles, st.FriendLists, st.HiddenLists, st.PartialLists, path)
+		n.Profiles, n.FriendLists, n.HiddenLists, n.PartialLists, path)
+	return nil
 }
 
 // attackFlags are the flag values validate checks.

@@ -317,8 +317,8 @@ func TestEnhancedRepeatServedFromCache(t *testing.T) {
 	shared := cache.New(counting).Instrument(reg)
 
 	run := func() *core.Result {
-		// The shared cache implements crawler.FetchCaching, so RunContext
-		// won't stack a second, run-scoped cache on top of it.
+		// The session's client is already a cache, so RunContext won't
+		// stack a second, run-scoped cache on top of it.
 		sess := crawler.NewSession(shared)
 		res, err := core.Run(sess, core.Params{
 			SchoolName:   world.Schools[0].Name,

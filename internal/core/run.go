@@ -64,14 +64,13 @@ func RunContext(ctx context.Context, sess *crawler.Session, p Params) (*Result, 
 		lg = sess.Log()
 	}
 	// Interpose the memoizing fetch cache below the effort tally, unless the
-	// client already caches fetches (e.g. a store archive) or the caller
-	// opted out. Restored on return: the cache's lifetime is one run.
-	if !p.DisableFetchCache {
-		if _, caching := sess.Client().(crawler.FetchCaching); !caching {
-			cc := cache.New(sess.Client()).Instrument(sess.MetricsRegistry()).WithLog(lg)
-			orig := sess.SwapClient(cc)
-			defer sess.SwapClient(orig)
-		}
+	// client already is one (hsprofile's archive, a cache shared across
+	// runs) or the caller opted out. Restored on return: the cache's
+	// lifetime is one run.
+	if _, cached := sess.Client().(*cache.Cache); !cached && !p.DisableFetchCache {
+		cc := cache.New(sess.Client()).Instrument(sess.MetricsRegistry()).WithLog(lg)
+		orig := sess.SwapClient(cc)
+		defer sess.SwapClient(orig)
 	}
 	// step opens a span for one methodology step; crawl requests made under
 	// the returned context nest under it, and their events carry its id.

@@ -97,14 +97,6 @@ func (e Effort) Sub(o Effort) Effort {
 	}
 }
 
-// FetchCaching marks clients that already memoize profile and friend-list
-// fetches (the crawler/cache package's Cache, store.CachedClient), so
-// layers that would otherwise add a run-local cache — core.RunContext —
-// know not to stack a second one.
-type FetchCaching interface {
-	CachesFetches()
-}
-
 // Session is the attack's one crawl stack: it layers account rotation,
 // suspension handling, retries, per-request timeouts and the Table 3
 // effort accounting over a Client, and runs batches over a worker pool
