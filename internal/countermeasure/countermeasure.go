@@ -11,15 +11,6 @@ import (
 	"hsprofiler/internal/worldgen"
 )
 
-// Point is one threshold's comparison between the unprotected platform and
-// the countermeasure platform.
-type Point struct {
-	Threshold int
-	// BaselineFound and ProtectedFound are the fractions of the student
-	// body discovered with and without reverse lookup available.
-	BaselineFound, ProtectedFound float64
-}
-
 // Runner abstracts how the two attack runs are evaluated; the experiments
 // package supplies ground truth, and tests can inject their own.
 type Runner struct {

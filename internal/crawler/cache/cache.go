@@ -9,8 +9,7 @@
 // effort tallies. The crawler.Session counts a logical request before the
 // client is consulted, so a cache hit still counts as a request the
 // paper's way — what the cache saves is platform load and wall time, never
-// measured effort. The Bypass switch turns memoization off entirely for
-// callers that want every request to hit the platform.
+// measured effort.
 //
 // Page boundaries are recorded exactly as the platform served them, so a
 // replayed walk sees the same pagination (and therefore the same per-page
@@ -66,10 +65,6 @@ type friendEntry struct {
 // costs the platform one request.
 type Cache struct {
 	inner crawler.Client
-
-	// Bypass disables memoization entirely: every request passes through
-	// to the inner client and nothing is recorded. Set before use.
-	Bypass bool
 
 	mu       sync.Mutex
 	profiles map[osn.PublicID]*osn.PublicProfile
@@ -185,9 +180,6 @@ func (c *Cache) Search(acct, schoolID, page int) ([]osn.SearchResult, bool, erro
 // fetches are recorded; errors propagate uncached so the caller's retry
 // policy stays in charge.
 func (c *Cache) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error) {
-	if c.Bypass {
-		return c.inner.Profile(acct, id)
-	}
 	key := flightKey{kind: 'p', id: id}
 	for {
 		c.mu.Lock()
@@ -227,9 +219,6 @@ func (c *Cache) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error) {
 // through from the first missing page. Hidden verdicts are cached too. A
 // negative page is an error.
 func (c *Cache) FriendPage(acct int, id osn.PublicID, page int) ([]osn.FriendRef, bool, error) {
-	if c.Bypass {
-		return c.inner.FriendPage(acct, id, page)
-	}
 	if page < 0 {
 		return nil, false, fmt.Errorf("cache: negative page %d", page)
 	}

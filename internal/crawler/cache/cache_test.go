@@ -236,24 +236,6 @@ func TestHiddenVerdictCached(t *testing.T) {
 	}
 }
 
-func TestBypassDisablesMemoization(t *testing.T) {
-	inner := newScript()
-	inner.profiles["a"] = &osn.PublicProfile{ID: "a"}
-	c := New(inner)
-	c.Bypass = true
-	for i := 0; i < 3; i++ {
-		if _, err := c.Profile(0, "a"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := inner.calls("a"); n != 3 {
-		t.Fatalf("bypass leaked: inner saw %d calls, want 3", n)
-	}
-	if st := c.Stats(); st.Hits.ProfileRequests != 0 || st.Misses.ProfileRequests != 0 {
-		t.Fatalf("bypass recorded traffic: %+v", st)
-	}
-}
-
 // TestSingleFlight: concurrent fetches of one profile reach the platform
 // once; everyone gets the same result. Run with -race in CI.
 func TestSingleFlight(t *testing.T) {
