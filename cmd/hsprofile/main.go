@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -78,26 +79,26 @@ func newRunOutputs(tracePath, manifestPath, eventsPath string) (*runOutputs, err
 // recorder's last events are replayed to stderr first — the crash context.
 // Errors are reported to stderr rather than fatal, so a failing flush never
 // prevents the remaining artifacts from being written.
-func (o *runOutputs) flush(dumpRing bool) {
+func (o *runOutputs) flush(stdout, stderr io.Writer, dumpRing bool) {
 	if o == nil || o.flushed {
 		return
 	}
 	o.flushed = true
 	if dumpRing && o.lg != nil && o.lg.RingLen() > 0 {
-		fmt.Fprintf(os.Stderr, "hsprofile: flight recorder (last %d events):\n", o.lg.RingLen())
-		if _, err := o.lg.DumpRing(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "hsprofile: ring dump: %v\n", err)
+		fmt.Fprintf(stderr, "hsprofile: flight recorder (last %d events):\n", o.lg.RingLen())
+		if _, err := o.lg.DumpRing(stderr); err != nil {
+			fmt.Fprintf(stderr, "hsprofile: ring dump: %v\n", err)
 		}
 	}
 	if o.tr != nil {
 		o.tr.Finish()
 	}
 	if o.tracePath != "" {
-		out := os.Stderr
+		out := stderr
 		if o.tracePath != "-" {
 			f, err := os.Create(o.tracePath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "hsprofile: trace: %v\n", err)
+				fmt.Fprintf(stderr, "hsprofile: trace: %v\n", err)
 				out = nil
 			} else {
 				defer f.Close()
@@ -107,7 +108,7 @@ func (o *runOutputs) flush(dumpRing bool) {
 		if out != nil {
 			o.tr.WriteTree(out)
 			if o.tracePath != "-" {
-				fmt.Printf("trace: span tree -> %s\n", o.tracePath)
+				fmt.Fprintf(stdout, "trace: span tree -> %s\n", o.tracePath)
 			}
 		}
 	}
@@ -117,55 +118,73 @@ func (o *runOutputs) flush(dumpRing bool) {
 		o.manifest.AddMetrics(o.reg)
 		o.manifest.Finish()
 		if f, err := os.Create(o.manifestPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hsprofile: manifest: %v\n", err)
+			fmt.Fprintf(stderr, "hsprofile: manifest: %v\n", err)
 		} else {
 			if err := o.manifest.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hsprofile: manifest: %v\n", err)
+				fmt.Fprintf(stderr, "hsprofile: manifest: %v\n", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "hsprofile: manifest: %v\n", err)
+				fmt.Fprintf(stderr, "hsprofile: manifest: %v\n", err)
 			} else {
-				fmt.Printf("manifest: %s\n", o.manifestPath)
+				fmt.Fprintf(stdout, "manifest: %s\n", o.manifestPath)
 			}
 		}
 	}
 	if o.events != nil {
 		if err := o.events.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hsprofile: event log: %v\n", err)
+			fmt.Fprintf(stderr, "hsprofile: event log: %v\n", err)
 		} else {
-			fmt.Printf("events: %d logged -> %s\n", o.lg.Events(), o.eventsPath)
+			fmt.Fprintf(stdout, "events: %d logged -> %s\n", o.lg.Events(), o.eventsPath)
 		}
 	}
 }
 
 func main() {
-	url := flag.String("url", "http://localhost:8080", "osnd base URL")
-	school := flag.String("school", "", "target high school name (required)")
-	year := flag.Int("year", 2012, "current senior-class graduation year")
-	accounts := flag.Int("accounts", 2, "fake accounts to register")
-	mode := flag.String("mode", "enhanced", "methodology: basic, enhanced")
-	threshold := flag.Int("t", 400, "selection threshold t")
-	epsilon := flag.Float64("epsilon", 1, "enhanced over-fetch factor ε > 0: profiles are downloaded for the top (1+ε)·t candidates")
-	filtering := flag.Bool("filter", true, "apply the Section 4.4 filters")
-	pace := flag.Duration("pace", 0, "politeness delay between requests (e.g. 200ms)")
-	dossiers := flag.Bool("dossiers", false, "run the Section 6 profile extension and report dossier stats")
-	archive := flag.String("archive", "", "write the crawl archive (profiles + friend lists) as JSON to this file")
-	resume := flag.String("resume", "", "resume from a crawl archive written by a previous (possibly interrupted) run")
-	failureBudget := flag.Int("failure-budget", 0, "how many per-item fetch failures to absorb before aborting (0 = fail fast)")
-	workers := flag.Int("workers", 1, "fetch workers for the attack crawl and the Section 6 dossier crawl (1 = sequential); ranked output, request counts and dossiers are identical at any setting")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-request timeout: an overrunning request is abandoned and retried, and an interrupted crawl waits at most this long for requests in flight (0 = unbounded)")
-	traceOut := flag.String("trace-out", "", "write the run's span tree to this file (\"-\" for stderr) and show live phase progress")
-	manifestOut := flag.String("manifest-out", "", "write a JSON run manifest (params, git describe, phase timings, effort counters) to this file")
-	eventsOut := flag.String("events-out", "", "write the structured event log (JSONL) to this file; also arms the flight recorder dumped to stderr on interrupt")
-	reqSeed := flag.Uint64("req-seed", 1, "request-id seed: every request carries a deterministic X-Osn-Request-Id derived from this seed and its path, so attacker-side wire events join to the server's access log")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the attack. Cancelling ctx (main does on SIGINT or SIGTERM)
+// interrupts the crawl between requests: requests already in flight finish
+// (bounded by -req-timeout), no new ones start, and the archive is written
+// either way, so the next -resume run continues from there. It returns the
+// exit status: 0, 1 for a failure, 2 for a bad flag, 130 for an interrupt.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hsprofile", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://localhost:8080", "osnd base URL")
+	school := fs.String("school", "", "target high school name (required)")
+	year := fs.Int("year", 2012, "current senior-class graduation year")
+	accounts := fs.Int("accounts", 2, "fake accounts to register")
+	mode := fs.String("mode", "enhanced", "methodology: basic, enhanced")
+	threshold := fs.Int("t", 400, "selection threshold t")
+	epsilon := fs.Float64("epsilon", 1, "enhanced over-fetch factor ε > 0: profiles are downloaded for the top (1+ε)·t candidates")
+	filtering := fs.Bool("filter", true, "apply the Section 4.4 filters")
+	pace := fs.Duration("pace", 0, "politeness delay between requests (e.g. 200ms)")
+	dossiers := fs.Bool("dossiers", false, "run the Section 6 profile extension and report dossier stats")
+	archive := fs.String("archive", "", "write the crawl archive (profiles + friend lists) as JSON to this file")
+	resume := fs.String("resume", "", "resume from a crawl archive written by a previous (possibly interrupted) run")
+	failureBudget := fs.Int("failure-budget", 0, "how many per-item fetch failures to absorb before aborting (0 = fail fast)")
+	workers := fs.Int("workers", 1, "fetch workers for the attack crawl and the Section 6 dossier crawl (1 = sequential); ranked output, request counts and dossiers are identical at any setting")
+	reqTimeout := fs.Duration("req-timeout", 0, "per-request timeout: an overrunning request is abandoned and retried, and an interrupted crawl waits at most this long for requests in flight (0 = unbounded)")
+	traceOut := fs.String("trace-out", "", "write the run's span tree to this file (\"-\" for stderr) and show live phase progress")
+	manifestOut := fs.String("manifest-out", "", "write a JSON run manifest (params, git describe, phase timings, effort counters) to this file")
+	eventsOut := fs.String("events-out", "", "write the structured event log (JSONL) to this file; also arms the flight recorder dumped to stderr on interrupt")
+	reqSeed := fs.Uint64("req-seed", 1, "request-id seed: every request carries a deterministic X-Osn-Request-Id derived from this seed and its path, so attacker-side wire events join to the server's access log")
+	fs.Parse(args)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "hsprofile: %v\n", err)
+		return 1
+	}
 
 	if err := validate(attackFlags{
 		school: *school, mode: *mode, accounts: *accounts, t: *threshold, epsilon: *epsilon,
 		workers: *workers, failureBudget: *failureBudget, pace: *pace, reqTimeout: *reqTimeout,
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "hsprofile: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hsprofile: %v\n", err)
+		return 2
 	}
 	// Observability artifacts (metrics, trace, manifest, event log) exist
 	// whenever their outputs are asked for; nil handles keep every layer a
@@ -173,7 +192,7 @@ func main() {
 	// already on the wire log.
 	out, err := newRunOutputs(*traceOut, *manifestOut, *eventsOut)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var pacer osnhttp.Pacer = osnhttp.NoPace{}
 	if *pace > 0 {
@@ -188,35 +207,28 @@ func main() {
 	if *resume != "" {
 		f, err := os.Open(*resume)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		cached, err = cache.ReadJSON(f, client)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("resuming from %s: %w", *resume, err))
+			return fail(fmt.Errorf("resuming from %s: %w", *resume, err))
 		}
 		n := cached.Contents()
-		fmt.Printf("resuming: %d profiles, %d friend lists, %d partial lists already archived\n",
+		fmt.Fprintf(stdout, "resuming: %d profiles, %d friend lists, %d partial lists already archived\n",
 			n.Profiles, n.FriendLists+n.HiddenLists, n.PartialLists)
 	}
 	if err := client.RegisterAccounts(*accounts); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	sess := crawler.NewSession(cached).Instrument(out.reg).WithLog(out.lg)
 	sess.Timeout = *reqTimeout
-
-	// SIGINT cancels the crawl between requests: requests already in flight
-	// finish (bounded by -req-timeout) and no new ones start. The archive
-	// below is written either way, so the next -resume run continues from
-	// here.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if out.tr != nil {
 		if *traceOut != "" {
 			out.tr.OnStart = func(s *obs.Span) {
 				if s.Depth() == 1 { // methodology steps, not per-request spans
-					fmt.Fprintf(os.Stderr, "hsprofile: ▶ %s\n", s.Name())
+					fmt.Fprintf(stderr, "hsprofile: ▶ %s\n", s.Name())
 				}
 			}
 		}
@@ -252,25 +264,25 @@ func main() {
 		Workers:       *workers,
 	})
 	if err != nil {
-		os.Exit(finish(out, *archive, cached, err))
+		return finish(stdout, stderr, out, *archive, cached, err)
 	}
 	sel := res.Select(*threshold, *filtering)
 
-	fmt.Printf("target: %s (%s)\n", res.School.Name, res.School.City)
-	fmt.Printf("seeds: %d   core: %d   extended core: %d   candidates: %d\n",
+	fmt.Fprintf(stdout, "target: %s (%s)\n", res.School.Name, res.School.City)
+	fmt.Fprintf(stdout, "seeds: %d   core: %d   extended core: %d   candidates: %d\n",
 		len(res.Seeds), res.SeedCoreSize, res.ExtendedCoreSize, res.CandidateCount())
-	fmt.Printf("effort: %d seed + %d profile + %d friend-list = %d requests in %s\n",
+	fmt.Fprintf(stdout, "effort: %d seed + %d profile + %d friend-list = %d requests in %s\n",
 		res.Effort.SeedRequests, res.Effort.ProfileRequests,
 		res.Effort.FriendListRequests, res.Effort.Total(), time.Since(start).Round(time.Millisecond))
 	if res.Retries.Total() > 0 || res.Failures.Total() > 0 || res.FailedFetches > 0 {
-		fmt.Printf("resilience: %d retries (%d seed, %d profile, %d friend-list), %d hard failures, %d items absorbed\n",
+		fmt.Fprintf(stdout, "resilience: %d retries (%d seed, %d profile, %d friend-list), %d hard failures, %d items absorbed\n",
 			res.Retries.Total(), res.Retries.SeedRequests, res.Retries.ProfileRequests,
 			res.Retries.FriendListRequests, res.Failures.Total(), res.FailedFetches)
 	}
 	if saved := cached.Stats().Hits.Total(); saved > 0 {
-		fmt.Printf("archive cache: %d requests served locally\n", saved)
+		fmt.Fprintf(stdout, "archive cache: %d requests served locally\n", saved)
 	}
-	fmt.Printf("inferred students (|H| = %d):\n", len(sel))
+	fmt.Fprintf(stdout, "inferred students (|H| = %d):\n", len(sel))
 
 	byYear := map[int]int{}
 	for _, s := range sel {
@@ -282,7 +294,7 @@ func main() {
 	}
 	sort.Ints(years)
 	for _, y := range years {
-		fmt.Printf("  class of %d: %d students\n", y, byYear[y])
+		fmt.Fprintf(stdout, "  class of %d: %d students\n", y, byYear[y])
 	}
 
 	if *dossiers {
@@ -295,16 +307,16 @@ func main() {
 		dossierEffort := sess.Effort().Sub(before)
 		span.End()
 		if err != nil {
-			os.Exit(finish(out, *archive, cached, err))
+			return finish(stdout, stderr, out, *archive, cached, err)
 		}
 		minors := d.MinorProfiles(sel, res.School)
 		st := d.AdultMinorTable(sel, *year)
-		fmt.Printf("\nSection 6 extension:\n")
-		fmt.Printf("  registered-minor dossiers: %d (avg %.1f recovered friends each)\n",
+		fmt.Fprintf(stdout, "\nSection 6 extension:\n")
+		fmt.Fprintf(stdout, "  registered-minor dossiers: %d (avg %.1f recovered friends each)\n",
 			len(minors), d.AvgRecoveredFriends(sel))
-		fmt.Printf("  minors registered as adults: %d (%.0f%% public friend lists, %.0f%% messageable)\n",
+		fmt.Fprintf(stdout, "  minors registered as adults: %d (%.0f%% public friend lists, %.0f%% messageable)\n",
 			st.Count, st.FriendListPublic*100, st.MessageLink*100)
-		fmt.Printf("  dossier effort: %d profile + %d friend-list = %d requests\n",
+		fmt.Fprintf(stdout, "  dossier effort: %d profile + %d friend-list = %d requests\n",
 			dossierEffort.ProfileRequests, dossierEffort.FriendListRequests, dossierEffort.Total())
 	}
 
@@ -323,7 +335,7 @@ func main() {
 		out.manifest.SetParam("result_candidates", res.CandidateCount())
 	}
 
-	os.Exit(finish(out, *archive, cached, nil))
+	return finish(stdout, stderr, out, *archive, cached, nil)
 }
 
 // finish ends a run on every path, clean, interrupted or failed: it writes
@@ -332,22 +344,22 @@ func main() {
 // therefore never costs the trace, manifest or event log. It returns the
 // exit status: 130 for an interrupt whose archive was written, 1 for any
 // other error.
-func finish(out *runOutputs, archivePath string, c *cache.Cache, runErr error) int {
+func finish(stdout, stderr io.Writer, out *runOutputs, archivePath string, c *cache.Cache, runErr error) int {
 	interrupted := errors.Is(runErr, context.Canceled)
 	if interrupted {
-		fmt.Fprintln(os.Stderr, "hsprofile: interrupted; writing partial archive")
+		fmt.Fprintln(stderr, "hsprofile: interrupted; writing partial archive")
 	}
-	archiveErr := writeArchive(archivePath, c, out.lg)
-	out.flush(runErr != nil || archiveErr != nil)
+	archiveErr := writeArchive(stdout, archivePath, c, out.lg)
+	out.flush(stdout, stderr, runErr != nil || archiveErr != nil)
 	code := 0
 	if interrupted {
 		code = 130
 	} else if runErr != nil {
-		fmt.Fprintf(os.Stderr, "hsprofile: %v\n", runErr)
+		fmt.Fprintf(stderr, "hsprofile: %v\n", runErr)
 		code = 1
 	}
 	if archiveErr != nil {
-		fmt.Fprintf(os.Stderr, "hsprofile: archive %s: %v\n", archivePath, archiveErr)
+		fmt.Fprintf(stderr, "hsprofile: archive %s: %v\n", archivePath, archiveErr)
 		code = 1
 	}
 	return code
@@ -355,7 +367,7 @@ func finish(out *runOutputs, archivePath string, c *cache.Cache, runErr error) i
 
 // writeArchive exports the fetch cache to path (no-op when path is empty),
 // logging each export as a "checkpoint" event.
-func writeArchive(path string, c *cache.Cache, lg *evlog.Logger) error {
+func writeArchive(stdout io.Writer, path string, c *cache.Cache, lg *evlog.Logger) error {
 	if path == "" {
 		return nil
 	}
@@ -375,7 +387,7 @@ func writeArchive(path string, c *cache.Cache, lg *evlog.Logger) error {
 		evlog.Str("path", path), evlog.Int("profiles", n.Profiles),
 		evlog.Int("friend_lists", n.FriendLists+n.HiddenLists),
 		evlog.Int("partial_lists", n.PartialLists))
-	fmt.Printf("\narchive: %d profiles, %d friend lists (%d hidden), %d partial -> %s\n",
+	fmt.Fprintf(stdout, "\narchive: %d profiles, %d friend lists (%d hidden), %d partial -> %s\n",
 		n.Profiles, n.FriendLists, n.HiddenLists, n.PartialLists, path)
 	return nil
 }
@@ -424,9 +436,4 @@ func validate(f attackFlags) error {
 		bad("-req-timeout must be non-negative, got %v", f.reqTimeout)
 	}
 	return errors.Join(errs...)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "hsprofile: %v\n", err)
-	os.Exit(1)
 }

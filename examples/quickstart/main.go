@@ -9,8 +9,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"hsprofiler/internal/core"
 	"hsprofiler/internal/crawler"
@@ -22,15 +24,29 @@ import (
 )
 
 func main() {
-	metrics := flag.Bool("metrics", false, "dump the crawl's Prometheus metrics to stdout after the run")
-	events := flag.String("events", "", "write the structured event log (JSONL) to this file")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the example; it returns the exit status, and a bad flag exits 2.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quickstart", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	metrics := fs.Bool("metrics", false, "dump the crawl's Prometheus metrics to stdout after the run")
+	events := fs.String("events", "", "write the structured event log (JSONL) to this file")
+	fs.Parse(args)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "quickstart: %v\n", err)
+		return 1
+	}
 
 	// A small town: one 80-student high school, alumni, parents, teachers
 	// and an outside population, with the paper's age-lying behaviour.
 	world, err := worldgen.Generate(worldgen.TinyConfig(), 7)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	// With -events, the attack runs under a structured event logger: the
@@ -40,7 +56,7 @@ func main() {
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		lg = evlog.New(evlog.Options{Sink: f})
@@ -54,13 +70,13 @@ func main() {
 	// The third party registers two fake adult accounts and attacks.
 	client, err := crawler.NewDirect(platform, 2)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	var reg *obs.Registry
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	ctx := evlog.NewContext(context.Background(), lg)
+	ctx = evlog.NewContext(ctx, lg)
 	res, err := core.RunContext(ctx, crawler.NewSession(client).Instrument(reg), core.Params{
 		SchoolName:   world.Schools[0].Name,
 		CurrentYear:  2012,
@@ -68,7 +84,7 @@ func main() {
 		MaxThreshold: 90,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	inferred := res.Select(60, true)
 
@@ -76,22 +92,23 @@ func main() {
 	truth := eval.NewGroundTruth(platform, 0)
 	outcome := truth.Evaluate(inferred)
 
-	fmt.Printf("target school:   %s (%s)\n", res.School.Name, res.School.City)
-	fmt.Printf("seeds:           %d search results\n", len(res.Seeds))
-	fmt.Printf("core users:      %d lying minors with public friend lists\n", res.SeedCoreSize)
-	fmt.Printf("candidates:      %d\n", res.CandidateCount())
-	fmt.Printf("requests issued: %d\n", res.Effort.Total())
-	fmt.Printf("students found:  %d of %d (%.0f%%), %0.f%% in the correct year, %d false positives\n",
+	fmt.Fprintf(stdout, "target school:   %s (%s)\n", res.School.Name, res.School.City)
+	fmt.Fprintf(stdout, "seeds:           %d search results\n", len(res.Seeds))
+	fmt.Fprintf(stdout, "core users:      %d lying minors with public friend lists\n", res.SeedCoreSize)
+	fmt.Fprintf(stdout, "candidates:      %d\n", res.CandidateCount())
+	fmt.Fprintf(stdout, "requests issued: %d\n", res.Effort.Total())
+	fmt.Fprintf(stdout, "students found:  %d of %d (%.0f%%), %0.f%% in the correct year, %d false positives\n",
 		outcome.Found, outcome.M, 100*outcome.FoundFrac(),
 		100*outcome.CorrectYearFrac(), outcome.FalsePositives)
 
 	if *metrics {
-		fmt.Println("\n# crawl metrics (Prometheus exposition)")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(stdout, "\n# crawl metrics (Prometheus exposition)")
+		if err := reg.WritePrometheus(stdout); err != nil {
+			return fail(err)
 		}
 	}
 	if lg != nil {
-		fmt.Fprintf(os.Stderr, "events: %d logged -> %s\n", lg.Events(), *events)
+		fmt.Fprintf(stderr, "events: %d logged -> %s\n", lg.Events(), *events)
 	}
+	return 0
 }

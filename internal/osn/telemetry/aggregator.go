@@ -152,7 +152,7 @@ func (g *Aggregator) loop() {
 }
 
 // Stop ends the loop and performs one final rollup, so short-lived runs
-// (CI smoke jobs) still publish their last window.
+// (an end-to-end test's daemon) still publish their last window.
 func (g *Aggregator) Stop() {
 	g.mu.Lock()
 	started := g.started
