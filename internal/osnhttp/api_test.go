@@ -79,7 +79,7 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	if err := c.RegisterAccounts(1); err != nil {
 		t.Fatal(err)
 	}
-	tok := url.QueryEscape(c.tokens[0])
+	tok := c.tokens[0] // already query-escaped
 
 	cases := []struct {
 		path string

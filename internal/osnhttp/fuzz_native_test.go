@@ -54,7 +54,7 @@ func FuzzParseProfile(f *testing.F) {
 		f.Add(page)
 	}
 	f.Fuzz(func(t *testing.T, page string) {
-		pp, err := parseProfile(page, "u")
+		pp, err := pageProfile(page, "u")
 		if err != nil {
 			if !errors.Is(err, ErrMalformed) {
 				t.Fatalf("non-typed parse error: %v", err)

@@ -278,7 +278,7 @@ func TestParseProfileMinimalRoundTrip(t *testing.T) {
 <img class="photo" src="x.jpg">
 <span class="gender">female</span>
 </div></body></html>`
-	pp, err := parseProfile(body, "u9")
+	pp, err := pageProfile(body, "u9")
 	if err != nil {
 		t.Fatal(err)
 	}

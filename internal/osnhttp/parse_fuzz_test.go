@@ -33,7 +33,7 @@ func TestParserOnMalformedPages(t *testing.T) {
 		_ = firstClassText(page, "gradyear")
 		// None carries a complete profile container, so all must be
 		// reported malformed rather than parsed into an empty profile.
-		if _, err := parseProfile(page, "u"); !errors.Is(err, ErrMalformed) {
+		if _, err := pageProfile(page, "u"); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("case %d: want ErrMalformed, got %v", i, err)
 		}
 	}
@@ -73,6 +73,9 @@ func TestCheckRowsDetectsDroppedRows(t *testing.T) {
 	if err := checkRows(page, "friend", len(ids)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("dropped row not reported: %v", err)
 	}
+	if _, _, err := htmlWire.friends([]byte(page)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("dropped row not reported by the decoder: %v", err)
+	}
 }
 
 func TestParserNeverPanicsOnRandomInput(t *testing.T) {
@@ -83,7 +86,7 @@ func TestParserNeverPanicsOnRandomInput(t *testing.T) {
 		_ = classText(page, class)
 		_ = classDataIDs(page, class)
 		_ = hasClass(page, class)
-		_, _ = parseProfile(page, "u1")
+		_, _ = pageProfile(page, "u1")
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -95,7 +98,7 @@ func TestParseProfileIgnoresBadNumbers(t *testing.T) {
 	body := `<html><body><div id="profile" data-id="u"><span class="gradyear">Class of banana</span>
 <span class="birthday">not-a-date</span>
 <span class="photocount">many</span></div></body></html>`
-	pp, err := parseProfile(body, "u")
+	pp, err := pageProfile(body, "u")
 	if err != nil {
 		t.Fatal(err)
 	}

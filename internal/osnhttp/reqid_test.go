@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -318,5 +320,55 @@ func TestWireJoinRate(t *testing.T) {
 	rate := float64(joined) / float64(len(client))
 	if rate < 0.95 {
 		t.Fatalf("join rate %.2f (%d/%d), want >= 0.95", rate, joined, len(client))
+	}
+}
+
+// TestFetchPathsAndIDs pins every fetch method's request path and id on
+// both wires to the fmt.Sprintf formats the client used before it built
+// paths with strconv, for values that need escaping.
+func TestFetchPathsAndIDs(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, r.URL.RequestURI()+" "+r.Header.Get(RequestIDHeader))
+		mu.Unlock()
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	const tok = "acct-7-a&b+c d/é"
+	const city = "Ash & Oak+Vale d'Or"
+	const id = osn.PublicID("u1/2?x y")
+	for _, w := range []*wire{&htmlWire, &jsonWire} {
+		got = nil
+		c := newClient(srv.URL+"/", srv.Client(), nil, w).WithSeed(42)
+		c.tokens = []string{url.QueryEscape(tok)}
+		c.LookupSchool("x")
+		c.Search(0, 12, 3)
+		c.CitySearch(0, city, 0)
+		c.GraphSearch(0, osn.GraphQuery{SchoolID: 4, CurrentStudents: true, GradYearAfter: -2010, GradYearBefore: 2015, City: city}, 1)
+		c.GraphSearch(0, osn.GraphQuery{SchoolID: 5}, 0)
+		c.Profile(0, id)
+		c.FriendPage(0, id, 2)
+		q := url.QueryEscape
+		want := []string{
+			w.prefix + "/schools",
+			fmt.Sprintf("%s%sschool=%d&page=%d&acct=%s", w.prefix, w.find, 12, 3, q(tok)),
+			fmt.Sprintf("%s%scity=%s&page=%d&acct=%s", w.prefix, w.city, q(city), 0, q(tok)),
+			fmt.Sprintf("%s%sschool=%d&current=%s&after=%d&before=%d&city=%s&page=%d&acct=%s",
+				w.prefix, w.graph, 4, "1", -2010, 2015, q(city), 1, q(tok)),
+			fmt.Sprintf("%s%sschool=%d&current=%s&after=%d&before=%d&city=%s&page=%d&acct=%s",
+				w.prefix, w.graph, 5, "0", 0, 0, q(""), 0, q(tok)),
+			fmt.Sprintf("%s/profile/%s?acct=%s", w.prefix, url.PathEscape(string(id)), q(tok)),
+			fmt.Sprintf("%s/friends/%s?page=%d&acct=%s", w.prefix, url.PathEscape(string(id)), 2, q(tok)),
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d requests, want %d: %q", w.prefix, len(got), len(want), got)
+		}
+		for i, path := range want {
+			if line := path + " " + requestID(42, path); got[i] != line {
+				t.Errorf("%q request %d: %q, want %q", w.prefix, i, got[i], line)
+			}
+		}
 	}
 }
