@@ -105,18 +105,25 @@ func printReport(rep *loadgen.Report) {
 	if rep.Dropped > 0 {
 		fmt.Printf("dropped %d arrivals at the inflight cap (server could not keep up with the schedule)\n", rep.Dropped)
 	}
-	if errs := rep.Overall.Errors; len(errs) > 0 {
-		fmt.Print("outcomes beyond 200:")
-		keys := make([]string, 0, len(errs))
-		for k := range errs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf(" %s=%d", k, errs[k])
-		}
-		fmt.Println()
+	printOutcomes("outcomes beyond 200:", rep.Overall.Errors)
+	printOutcomes("warm-up outcomes beyond 200:", rep.WarmupErrors)
+}
+
+// printOutcomes prints a line of outcome counts by name, if there are any.
+func printOutcomes(head string, errs map[string]uint64) {
+	if len(errs) == 0 {
+		return
 	}
+	fmt.Print(head)
+	keys := make([]string, 0, len(errs))
+	for k := range errs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf(" %s=%d", k, errs[k])
+	}
+	fmt.Println()
 }
 
 func printRow(name string, e *loadgen.EndpointReport) {

@@ -278,8 +278,9 @@ func TestWatchtowerTelemetry(t *testing.T) {
 	t.Logf("joined %s/%s wire events", m[1], m[2])
 }
 
-// cleanBurst reads loadgen's -out report and requires that no request met
-// a 5xx, a malformed body, a timeout or a network error.
+// cleanBurst reads loadgen's -out report and requires that no request,
+// warm-up included, met a 5xx, a malformed body, a timeout or a network
+// error.
 func cleanBurst(t *testing.T, path string) *loadgen.Report {
 	t.Helper()
 	var rep loadgen.Report
@@ -290,6 +291,9 @@ func cleanBurst(t *testing.T, path string) *loadgen.Report {
 	for _, k := range []string{"server_5xx", "malformed", "net_timeout", "net_error"} {
 		if n := rep.Overall.Errors[k]; n != 0 {
 			t.Errorf("%d requests ended %s (outcomes %v)", n, k, rep.Overall.Errors)
+		}
+		if n := rep.WarmupErrors[k]; n != 0 {
+			t.Errorf("%d warm-up requests ended %s (outcomes %v)", n, k, rep.WarmupErrors)
 		}
 	}
 	return &rep

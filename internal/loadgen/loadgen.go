@@ -223,6 +223,10 @@ type Report struct {
 	Dropped    uint64                     `json:"dropped"`
 	Endpoints  map[string]*EndpointReport `json:"endpoints"`
 	Overall    *EndpointReport            `json:"overall"`
+	// WarmupErrors counts the warm-up requests' outcomes beyond 200, by
+	// name. Warm-up keeps no latency, but a server failing during it must
+	// still show.
+	WarmupErrors map[string]uint64 `json:"warmup_errors,omitempty"`
 }
 
 // failure reports whether an outcome counts against the error rate.
@@ -244,6 +248,7 @@ type gen struct {
 	profile []string // one per (target, account) pair
 	friends []string // one per (target, page, account) pair
 	stats   [3]epStats
+	warmup  [numOutcomes]atomic.Uint64
 	dropped atomic.Uint64
 }
 
@@ -454,58 +459,57 @@ func (g *gen) pick(i uint64) (ep int, url string) {
 	}
 }
 
-// do issues one request and classifies it. latency is measured from
-// `from` — the scheduled arrival in open-loop mode, so queueing delay the
-// server caused is charged to the server.
+// do issues one request and records its outcome: with its latency, measured
+// from `from` — the scheduled arrival in open-loop mode, so queueing delay
+// the server caused is charged to the server — or, during warm-up, as a
+// warm-up outcome alone.
 func (g *gen) do(ctx context.Context, ep int, url string, from time.Time, record bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		if record {
-			g.stats[ep].record(NetError, time.Since(from))
-		}
+	out := g.classify(ctx, url)
+	if !record {
+		g.warmup[out].Add(1)
 		return
 	}
-	resp, err := g.hc.Do(req)
-	var out Outcome
+	g.stats[ep].record(out, time.Since(from))
+}
+
+// classify issues one request and classifies its outcome.
+func (g *gen) classify(ctx context.Context, url string) Outcome {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		out = NetError
+		return NetError
+	}
+	resp, err := g.hc.Do(req)
+	if err != nil {
 		if isTimeout(err) {
-			out = NetTimeout
+			return NetTimeout
 		}
-		if record {
-			g.stats[ep].record(out, time.Since(from))
-		}
-		return
+		return NetError
 	}
 	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	switch {
 	case rerr != nil:
-		out = NetError
+		return NetError
 	case resp.StatusCode == http.StatusOK:
-		out = OK
 		if len(body) < 2 || body[0] != '{' || body[len(body)-1] != '}' {
-			out = Malformed
+			return Malformed
 		}
+		return OK
 	case resp.StatusCode == http.StatusGone:
-		out = Hidden
+		return Hidden
 	case resp.StatusCode == http.StatusNotFound:
-		out = NotFound
+		return NotFound
 	case resp.StatusCode == http.StatusServiceUnavailable:
-		out = Throttled
 		if strings.Contains(string(body), `"code":"overload"`) {
-			out = Shed
+			return Shed
 		}
+		return Throttled
 	case resp.StatusCode == http.StatusTooManyRequests:
-		out = Suspended
+		return Suspended
 	case resp.StatusCode >= 500:
-		out = Server5xx
-	default:
-		out = Client4xx
+		return Server5xx
 	}
-	if record {
-		g.stats[ep].record(out, time.Since(from))
-	}
+	return Client4xx
 }
 
 func isTimeout(err error) bool {
@@ -626,6 +630,14 @@ func (g *gen) report(openLoop bool, window time.Duration) *Report {
 	}
 	rep.RPS = float64(rep.Requests) / secs
 	rep.Overall = endpointReport(overall, secs)
+	for o := OK + 1; o < numOutcomes; o++ {
+		if c := g.warmup[o].Load(); c != 0 {
+			if rep.WarmupErrors == nil {
+				rep.WarmupErrors = make(map[string]uint64)
+			}
+			rep.WarmupErrors[outcomeNames[o]] = c
+		}
+	}
 	return rep
 }
 

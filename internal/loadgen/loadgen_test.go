@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,37 @@ func TestRunCleanAgainstServer(t *testing.T) {
 			}
 		}
 		t.Logf("rate %v: %d requests, outcomes beyond 200: %v", cfg.Rate, rep.Requests, rep.Overall.Errors)
+	}
+}
+
+// TestWarmupFailuresReported answers the first three profile reads with a
+// 500. They fall in the warm-up, which keeps no latency, and must still
+// be reported, in WarmupErrors, while the measured window stays clean.
+func TestWarmupFailuresReported(t *testing.T) {
+	w, err := worldgen.Generate(worldgen.TinyConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := osnhttp.NewServer(osn.NewPlatform(w, osn.Facebook(), osn.Config{}))
+	var profiles atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/api/v1/profile/") && profiles.Add(1) <= 3 {
+			http.Error(wr, "boom", http.StatusInternalServerError)
+			return
+		}
+		api.ServeHTTP(wr, r)
+	}))
+	defer srv.Close()
+	rep, err := Run(context.Background(), Config{BaseURL: srv.URL, Workers: 2,
+		Warmup: 300 * time.Millisecond, Duration: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.WarmupErrors["server_5xx"]; n != 3 {
+		t.Errorf("warm-up server_5xx = %d, want 3 (warm-up outcomes %v)", n, rep.WarmupErrors)
+	}
+	if n := rep.Overall.Errors["server_5xx"]; n != 0 {
+		t.Errorf("measured server_5xx = %d, want 0", n)
 	}
 }
 
