@@ -67,24 +67,10 @@ type epoch struct {
 // serving continues on the previous epoch meanwhile.
 func (p *Platform) buildEpoch(seq uint64, pol *Policy) *epoch {
 	w := p.world
-	e := &epoch{
-		seq:         seq,
-		now:         w.Now,
-		policy:      pol,
-		cachePrefix: "e" + strconv.FormatUint(seq, 10) + "/",
-		cityIndex:   make(map[string][]socialgraph.UserID),
-	}
-	e.schools = make([]SchoolRef, len(w.Schools))
-	e.currentYear = make([]int, len(w.Schools))
+	e := newEpoch(seq, w, pol)
 	e.searchIndex = make([][]socialgraph.UserID, len(w.Schools))
-	e.viewScope = make([]string, len(w.Schools))
-	e.cacheKey = make([]string, len(w.Schools))
-	for i, s := range w.Schools {
-		e.schools[i] = SchoolRef{ID: s.ID, Name: s.Name, City: s.City}
-		e.currentYear[i] = s.GradYears[0]
-		e.viewScope[i] = "school:" + strconv.Itoa(i)
-		e.cacheKey[i] = e.cachePrefix + e.viewScope[i]
-	}
+	e.cityIndex = make(map[string][]socialgraph.UserID)
+	keys := cityKeys{}
 	for _, person := range w.People {
 		if !person.HasAccount || !person.Privacy.PublicSearch {
 			continue
@@ -93,7 +79,7 @@ func (p *Platform) buildEpoch(seq uint64, pol *Policy) *epoch {
 			e.searchIndex[person.SchoolID] = append(e.searchIndex[person.SchoolID], person.ID)
 		}
 		if person.ListsCity && person.CurrentCity != "" {
-			key := strings.ToLower(person.CurrentCity)
+			key := keys.of(person.CurrentCity)
 			e.cityIndex[key] = append(e.cityIndex[key], person.ID)
 		}
 	}
@@ -105,6 +91,43 @@ func (p *Platform) buildEpoch(seq uint64, pol *Policy) *epoch {
 	}
 	e.read = buildReadPlane(w, pol, p.pub)
 	return e
+}
+
+// newEpoch starts an epoch's build with its school table, scope strings
+// and cache keys. They are O(schools), tiny next to the per-user state,
+// and the epoch-qualified cache keys must change every epoch anyway, so
+// both the full and the incremental build make them afresh.
+func newEpoch(seq uint64, w *worldgen.World, pol *Policy) *epoch {
+	e := &epoch{
+		seq:         seq,
+		now:         w.Now,
+		policy:      pol,
+		cachePrefix: "e" + strconv.FormatUint(seq, 10) + "/",
+		schools:     make([]SchoolRef, len(w.Schools)),
+		currentYear: make([]int, len(w.Schools)),
+		viewScope:   make([]string, len(w.Schools)),
+		cacheKey:    make([]string, len(w.Schools)),
+	}
+	for i, s := range w.Schools {
+		e.schools[i] = SchoolRef{ID: s.ID, Name: s.Name, City: s.City}
+		e.currentYear[i] = s.GradYears[0]
+		e.viewScope[i] = "school:" + strconv.Itoa(i)
+		e.cacheKey[i] = e.cachePrefix + e.viewScope[i]
+	}
+	return e
+}
+
+// cityKeys maps a city name to its city-index key, lower-casing each
+// distinct name once per build.
+type cityKeys map[string]string
+
+func (k cityKeys) of(city string) string {
+	key, ok := k[city]
+	if !ok {
+		key = strings.ToLower(city)
+		k[city] = key
+	}
+	return key
 }
 
 // pin returns the current epoch with its pin count raised. The re-check

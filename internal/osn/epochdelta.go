@@ -1,8 +1,6 @@
 package osn
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"hsprofiler/internal/socialgraph"
@@ -62,25 +60,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 	var bd buildBreakdown
 	bd.incremental = true
 
-	e := &epoch{
-		seq:         seq,
-		now:         w.Now,
-		policy:      pol,
-		cachePrefix: "e" + strconv.FormatUint(seq, 10) + "/",
-	}
-	// The school table, scope strings and cache keys are O(schools) — tiny
-	// next to the per-user state — and the epoch-qualified cache keys must
-	// change every epoch anyway, so they are rebuilt, not shared.
-	e.schools = make([]SchoolRef, len(w.Schools))
-	e.currentYear = make([]int, len(w.Schools))
-	e.viewScope = make([]string, len(w.Schools))
-	e.cacheKey = make([]string, len(w.Schools))
-	for i, s := range w.Schools {
-		e.schools[i] = SchoolRef{ID: s.ID, Name: s.Name, City: s.City}
-		e.currentYear[i] = s.GradYears[0]
-		e.viewScope[i] = "school:" + strconv.Itoa(i)
-		e.cacheKey[i] = e.cachePrefix + e.viewScope[i]
-	}
+	e := newEpoch(seq, w, pol)
 
 	// Phase 1: profiles and policy flags. Copy-on-write — array contents
 	// are copied once (slice headers and profile pointers, not rendered
@@ -100,6 +80,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 	copy(rp.friendVisible, old.friendVisible)
 	copy(rp.profiles, old.profiles)
 	e.read = rp
+	render := newProfileRenderer(w, pol, p.pub, rp.names)
 
 	for _, u := range d.DirtyUsers {
 		person := w.People[u]
@@ -110,7 +91,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 		rp.regMinor[u] = person.RegisteredMinorAt(w.Now)
 		rp.searchEligible[u] = pol.MinorsSearchable || !rp.regMinor[u]
 		rp.friendVisible[u] = visibleToStranger(pol, person, rp.regMinor[u], AttrFriendList)
-		rp.profiles[u] = renderProfile(w, pol, p.pub, u, rp.regMinor[u])
+		rp.profiles[u] = render.profile(u, rp.regMinor[u])
 	}
 	bd.profiles = time.Since(tp)
 
@@ -133,6 +114,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 	}
 	schoolAdds := make(map[int][]socialgraph.UserID)
 	cityAdds := make(map[string][]socialgraph.UserID)
+	keys := cityKeys{}
 	for _, u := range d.DirtyUsers { // ascending, so the add lists are sorted
 		person := w.People[u]
 		if !person.HasAccount || !person.Privacy.PublicSearch {
@@ -142,7 +124,7 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 			schoolAdds[person.SchoolID] = append(schoolAdds[person.SchoolID], u)
 		}
 		if person.ListsCity && person.CurrentCity != "" {
-			key := strings.ToLower(person.CurrentCity)
+			key := keys.of(person.CurrentCity)
 			cityAdds[key] = append(cityAdds[key], u)
 		}
 	}
@@ -158,11 +140,11 @@ func (p *Platform) buildEpochDelta(seq uint64, pol *Policy, prev *epoch, d *worl
 	for k, v := range prev.cityIndex {
 		e.cityIndex[k] = v
 	}
-	cityKeys := make(map[string]bool, len(d.DirtyCities))
+	dirtyKeys := make(map[string]bool, len(d.DirtyCities))
 	for _, c := range d.DirtyCities {
-		cityKeys[strings.ToLower(c)] = true
+		dirtyKeys[keys.of(c)] = true
 	}
-	for key := range cityKeys {
+	for key := range dirtyKeys {
 		patched := patchIDList(prev.cityIndex[key], dirtyBit, cityAdds[key])
 		if len(patched) == 0 {
 			// The full build never materializes empty city lists.

@@ -1,6 +1,9 @@
 package osn
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"hsprofiler/internal/sim"
@@ -13,7 +16,7 @@ import (
 // every shown field corresponds to an enabled setting.
 //
 // The platform freezes profiles at construction, so the mutation loop
-// exercises renderProfile — the exact resolution step the freeze runs per
+// exercises profileRenderer — the exact resolution step the freeze runs per
 // user — rather than rebuilding a platform per trial.
 func TestPolicyCapUnderSettingMutation(t *testing.T) {
 	w, err := worldgen.Generate(worldgen.TinyConfig(), 99)
@@ -22,6 +25,7 @@ func TestPolicyCapUnderSettingMutation(t *testing.T) {
 	}
 	pol := Facebook()
 	p := NewPlatform(w, pol, Config{})
+	render := newProfileRenderer(w, pol, p.pub, p.cur.Load().read.names)
 	rng := sim.New(77)
 
 	var holders []*worldgen.Person
@@ -49,7 +53,7 @@ func TestPolicyCapUnderSettingMutation(t *testing.T) {
 		person.ListsCity = rng.Bool(0.5)
 		person.ListsGradSchool = rng.Bool(0.5)
 
-		pp := renderProfile(w, pol, p.pub, person.ID, person.RegisteredMinorAt(w.Now))
+		pp := render.profile(person.ID, person.RegisteredMinorAt(w.Now))
 		if person.RegisteredMinorAt(w.Now) {
 			if !pp.Minimal() {
 				t.Fatalf("trial %d: registered minor escaped the cap: %+v (settings %+v)",
@@ -92,6 +96,7 @@ func TestGooglePlusCapUnderMutation(t *testing.T) {
 	}
 	pol := GooglePlus()
 	p := NewPlatform(w, pol, Config{})
+	render := newProfileRenderer(w, pol, p.pub, p.cur.Load().read.names)
 	rng := sim.New(88)
 
 	var minors []*worldgen.Person
@@ -110,7 +115,7 @@ func TestGooglePlusCapUnderMutation(t *testing.T) {
 		person.Privacy.ShowBirthday = rng.Bool(0.5)
 		person.ListsSchool = rng.Bool(0.5)
 
-		pp := renderProfile(w, pol, p.pub, person.ID, person.RegisteredMinorAt(w.Now))
+		pp := render.profile(person.ID, person.RegisteredMinorAt(w.Now))
 		// Relationship and contact are outside the G+ minor cap.
 		if pp.Relationship || pp.ContactInfo {
 			t.Fatalf("trial %d: G+ minor exposed capped field: %+v", trial, pp)
@@ -120,4 +125,74 @@ func TestGooglePlusCapUnderMutation(t *testing.T) {
 			t.Fatalf("trial %d: G+ minor worst-case school suppressed", trial)
 		}
 	}
+}
+
+// FuzzLoadedWorldServes holds a platform built over any world the JSON
+// reader accepts to serving it: ReadJSON either fails with
+// worldgen.ErrSnapshot, or NewPlatform builds and a registered account is
+// served, without a panic, every account holder's profile and first friend
+// page and every school's first search page. The seeds are a valid world
+// of three people and the same world with its outside account holder,
+// listed and searchable, at a school past the end of the table: the
+// reader must reject it, or the build indexes its search by that school.
+func FuzzLoadedWorldServes(f *testing.F) {
+	if _, err := worldgen.ReadJSON(bytes.NewReader(threePeopleJSON(-1))); err != nil {
+		f.Fatalf("the valid seed is rejected: %v", err)
+	}
+	f.Add(threePeopleJSON(-1))
+	f.Add(threePeopleJSON(4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := worldgen.ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, worldgen.ErrSnapshot) {
+				t.Fatalf("error not typed ErrSnapshot: %v", err)
+			}
+			return
+		}
+		p := NewPlatform(w, Facebook(), Config{})
+		token, err := p.RegisterAccount("fuzz", w.Now.AddYears(-30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, person := range w.People {
+			if !person.HasAccount {
+				continue
+			}
+			id, ok := p.PublicIDOf(person.ID)
+			if !ok {
+				t.Fatalf("account holder %d has no public ID", person.ID)
+			}
+			if prof, err := p.Profile(token, id); err != nil || prof == nil {
+				t.Fatalf("profile of %d: %v", person.ID, err)
+			}
+			if _, _, err := p.FriendPage(token, id, 0); err != nil && !errors.Is(err, ErrHidden) {
+				t.Fatalf("friend page of %d: %v", person.ID, err)
+			}
+		}
+		for s := range w.Schools {
+			if _, _, err := p.SchoolSearch(token, s, 0); err != nil {
+				t.Fatalf("search of school %d: %v", s, err)
+			}
+		}
+	})
+}
+
+// threePeopleJSON is the JSON snapshot of a valid world of three people,
+// except that the outside account holder's school is outsideSchool, and
+// listed: a student and an outside friend with accounts, and the
+// student's parent without one.
+func threePeopleJSON(outsideSchool int) []byte {
+	return []byte(fmt.Sprintf(`{"version": 1, "seed": 1, "now": {"Year": 2012, "Month": 4, "Day": 1},
+"schools": [{"ID": 0, "Name": "Fuzz High", "City": "Fuzzton", "GradYears": [2012, 2013, 2014, 2015]}],
+"people": [
+ {"ID": 0, "FirstName": "Ann", "LastName": "Lee", "Role": 0, "SchoolID": 0, "GradYear": 2014,
+  "TrueBirth": {"Year": 1996, "Month": 5, "Day": 2}, "RegisteredBirth": {"Year": 1990, "Month": 5, "Day": 2},
+  "HasAccount": true, "LiedAtSignup": true, "ListsSchool": true, "ListsCity": true, "CurrentCity": "Fuzzton",
+  "Privacy": {"PublicSearch": true, "FriendListPublic": true, "ListsNetwork": true}},
+ {"ID": 1, "FirstName": "Bo", "LastName": "Kim", "Role": 5, "SchoolID": %d,
+  "TrueBirth": {"Year": 1970, "Month": 1, "Day": 1}, "RegisteredBirth": {"Year": 1970, "Month": 1, "Day": 1},
+  "HasAccount": true, "ListsSchool": true, "Privacy": {"PublicSearch": true, "FriendListPublic": true}},
+ {"ID": 2, "FirstName": "Cy", "LastName": "Lee", "Role": 3, "SchoolID": -1,
+  "TrueBirth": {"Year": 1970, "Month": 1, "Day": 1}, "ChildIDs": [0]}],
+"edges": [[0, 1]]}`, outsideSchool))
 }

@@ -201,7 +201,7 @@ func NewPlatformContext(ctx context.Context, w *worldgen.World, pol *Policy, cfg
 		policy: pol,
 		cfg:    cfg.withDefaults(),
 		seed:   w.Seed,
-		byPub:  make(map[PublicID]socialgraph.UserID),
+		byPub:  make(map[PublicID]socialgraph.UserID, w.Frozen().NumUsers()),
 		ctl:    newControlPlane(),
 	}
 	p.assignPublicIDs()
@@ -287,22 +287,28 @@ func (p *Platform) WithTelemetry(t *telemetry.Table) *Platform {
 // Telemetry returns the attached table (nil when telemetry is off).
 func (p *Platform) Telemetry() *telemetry.Table { return p.tel }
 
+// assignPublicIDs gives every account holder a public ID drawn from the
+// platform's seed. byPub must be sized for the account holders, who are
+// the graph's users. Each candidate is formatted into buf, so only the ID
+// kept is allocated.
 func (p *Platform) assignPublicIDs() {
 	rng := sim.New(p.seed).Stream("publicids")
 	p.pub = make([]PublicID, len(p.world.People))
+	var buf [16]byte
 	for _, person := range p.world.People {
 		if !person.HasAccount {
 			continue
 		}
-		var id PublicID
+		var id []byte
 		for {
-			id = PublicID("u" + strconv.FormatUint(rng.Uint64()&0xffffffffff, 36))
-			if _, taken := p.byPub[id]; !taken {
+			id = strconv.AppendUint(append(buf[:0], 'u'), rng.Uint64()&0xffffffffff, 36)
+			if _, taken := p.byPub[PublicID(id)]; !taken {
 				break
 			}
 		}
-		p.pub[person.ID] = id
-		p.byPub[id] = person.ID
+		pub := PublicID(id)
+		p.pub[person.ID] = pub
+		p.byPub[pub] = person.ID
 	}
 }
 

@@ -54,6 +54,7 @@ func buildReadPlane(w *worldgen.World, pol *Policy, pub []PublicID) *readPlane {
 		profiles:       make([]*PublicProfile, n),
 	}
 	rp.frozen.Retain()
+	render := newProfileRenderer(w, pol, pub, rp.names)
 	for _, person := range w.People {
 		if !person.HasAccount {
 			continue
@@ -63,31 +64,54 @@ func buildReadPlane(w *worldgen.World, pol *Policy, pub []PublicID) *readPlane {
 		rp.regMinor[u] = person.RegisteredMinorAt(w.Now)
 		rp.searchEligible[u] = pol.MinorsSearchable || !rp.regMinor[u]
 		rp.friendVisible[u] = visibleToStranger(pol, person, rp.regMinor[u], AttrFriendList)
-		rp.profiles[u] = renderProfile(w, pol, pub, u, rp.regMinor[u])
+		rp.profiles[u] = render.profile(u, rp.regMinor[u])
 	}
 	return rp
 }
 
-// renderProfile resolves the stranger view of u's profile under the policy.
-// It runs once per user during the freeze step; requests serve the result
-// by pointer.
-func renderProfile(w *worldgen.World, pol *Policy, pub []PublicID, u socialgraph.UserID, regMinor bool) *PublicProfile {
-	person := w.People[u]
+// profileRenderer resolves stranger views of profiles for one epoch
+// build. It holds what the build's profiles share, so that each piece is
+// made once: the display names, which the read plane keeps, and each
+// school's network string.
+type profileRenderer struct {
+	w     *worldgen.World
+	pol   *Policy
+	pub   []PublicID
+	names []string
+	// networks[s] is school s's network, "<City> network".
+	networks []string
+}
+
+func newProfileRenderer(w *worldgen.World, pol *Policy, pub []PublicID, names []string) *profileRenderer {
+	r := &profileRenderer{w: w, pol: pol, pub: pub, names: names, networks: make([]string, len(w.Schools))}
+	for i, s := range w.Schools {
+		r.networks[i] = s.City + " network"
+	}
+	return r
+}
+
+// profile resolves the stranger view of u's profile under the policy. It
+// runs once per user during the freeze step, and for the users an
+// incremental build re-renders; requests serve the result by pointer.
+// names[u] must already hold u's display name.
+func (r *profileRenderer) profile(u socialgraph.UserID, regMinor bool) *PublicProfile {
+	person := r.w.People[u]
+	pol := r.pol
 	vis := func(a Attribute) bool { return visibleToStranger(pol, person, regMinor, a) }
 
 	pp := &PublicProfile{
-		ID:       pub[u],
-		Name:     person.DisplayName(),
+		ID:       r.pub[u],
+		Name:     r.names[u],
 		HasPhoto: vis(AttrProfilePhoto),
 	}
 	if vis(AttrGender) {
 		pp.Gender = person.Gender.String()
 	}
 	if vis(AttrNetworks) && person.SchoolID >= 0 {
-		pp.Network = w.Schools[person.SchoolID].City + " network"
+		pp.Network = r.networks[person.SchoolID]
 	}
 	if vis(AttrHighSchool) && person.SchoolID >= 0 {
-		pp.HighSchool = w.Schools[person.SchoolID].Name
+		pp.HighSchool = r.w.Schools[person.SchoolID].Name
 		pp.GradYear = person.GradYear
 	}
 	pp.GradSchool = vis(AttrGradSchool)

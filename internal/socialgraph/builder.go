@@ -292,7 +292,8 @@ func (f *Frozen) CheckInvariants() error {
 // checkSymmetric proves that every entry u->v has its reverse v->u in one
 // merge pass over the rows, O(n+E), instead of one binary search per entry.
 // It requires offsets in range and every row strictly ascending, self-loop
-// free and inside the ID space, which CheckInvariants establishes first.
+// free and inside the ID space, which CheckInvariants establishes first and
+// DecodeFrozen as it reads each row.
 //
 // Rows are visited in ascending u, so the entries u->v with u < v reach row
 // v in ascending u. In a symmetric graph they are exactly row v's entries

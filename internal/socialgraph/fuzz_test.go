@@ -8,14 +8,17 @@ import (
 )
 
 // FuzzDecodeFrozen drives the CSR decoder directly; FuzzReadSnapshot cannot
-// reach it, because the section checksum rejects its mutations first. Any
-// input must either fail with ErrCodec or decode to a graph on which
-// CheckInvariants gives the reference's verdict. The decoder checks ranges
-// and row order but leaves symmetry to CheckInvariants, so mutated rows
-// exercise the linear symmetry pass on asymmetric graphs too.
+// reach it, because the section checksum rejects its mutations first.
+// DecodeFrozen must accept exactly what decodeFrozenReference followed by
+// checkInvariantsReference accepts, return the same graph, and type every
+// error ErrCodec. Mutated rows are often asymmetric, so the fuzzer reaches
+// the decoder's symmetry pass with graphs that must fail it. Besides a
+// valid encoding and its truncations and flips, the seeds are
+// varintWidthCases.
 func FuzzDecodeFrozen(f *testing.F) {
+	small := randomGraph(f, 40, 120, 3).Freeze()
 	var buf bytes.Buffer
-	if err := randomGraph(f, 40, 120, 3).Freeze().WriteBinary(&buf); err != nil {
+	if err := small.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -35,8 +38,19 @@ func FuzzDecodeFrozen(f *testing.F) {
 	// A header claiming 2^31 IDs in front of a small real body.
 	f.Add(append(binary.AppendUvarint(nil, 1<<31), valid[1:]...))
 
+	for _, tc := range varintWidthCases(f) {
+		f.Add(tc.data)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFrozen(data)
+		ref, refErr := decodeFrozenReference(data)
+		if refErr == nil {
+			refErr = checkInvariantsReference(ref)
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeFrozen %v, reference %v", err, refErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCodec) {
 				t.Fatalf("error not typed ErrCodec: %v", err)
@@ -46,12 +60,11 @@ func FuzzDecodeFrozen(f *testing.F) {
 			}
 			return
 		}
-		fast, ref := got.CheckInvariants(), checkInvariantsReference(got)
-		if (fast == nil) != (ref == nil) {
-			t.Fatalf("CheckInvariants %v, reference %v", fast, ref)
+		if !got.Equal(ref) {
+			t.Fatal("DecodeFrozen and the reference decoded different graphs")
 		}
-		if fast != nil {
-			return
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("decoded graph fails CheckInvariants: %v", err)
 		}
 		var re bytes.Buffer
 		if err := got.WriteBinary(&re); err != nil {
@@ -62,4 +75,104 @@ func FuzzDecodeFrozen(f *testing.F) {
 			t.Fatalf("valid graph does not survive re-encoding: %v", err)
 		}
 	})
+}
+
+// appendFrozen appends WriteBinary's encoding of f with each row delta
+// written by putDelta; binary.AppendUvarint reproduces WriteBinary's bytes.
+func appendFrozen(dst []byte, f *Frozen, putDelta func([]byte, uint64) []byte) []byte {
+	n := len(f.present)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	bitmap := make([]byte, (n+7)/8)
+	for u, p := range f.present {
+		if p {
+			bitmap[u/8] |= 1 << (u % 8)
+		}
+	}
+	dst = append(dst, bitmap...)
+	dst = binary.AppendUvarint(dst, uint64(f.users))
+	dst = binary.AppendUvarint(dst, uint64(f.edges))
+	for u := 0; u < n; u++ {
+		dst = binary.AppendUvarint(dst, uint64(f.offsets[u+1]-f.offsets[u]))
+	}
+	for u := 0; u < n; u++ {
+		prev := UserID(0)
+		for _, v := range f.row(UserID(u)) {
+			dst = putDelta(dst, uint64(v-prev))
+			prev = v
+		}
+	}
+	return dst
+}
+
+// paddedUvarint appends v as a varint of exactly size bytes, padding with
+// continuation bytes. binary.Uvarint reads up to ten bytes of it as v and
+// reports eleven as an overflow.
+func paddedUvarint(dst []byte, v uint64, size int) []byte {
+	for k := 1; k < size; k++ {
+		dst = append(dst, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(dst, byte(v))
+}
+
+type decodeCase struct {
+	name string
+	data []byte
+	want *Frozen // nil: decoding must fail
+}
+
+// varintWidthCases are encodings with row varints at the edges of
+// DecodeFrozen's inline one- and two-byte paths: rows starting at 127, 128,
+// 16383 and 16384, every delta padded to ten bytes, which decodes to the
+// same graph, and to eleven, which overflows.
+func varintWidthCases(t testing.TB) []decodeCase {
+	t.Helper()
+	small := randomGraph(t, 40, 120, 3).Freeze()
+	b := NewFrozenBuilder(16385)
+	for u := UserID(0); u < 16385; u++ {
+		if err := b.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddShard([]Edge{{0, 127}, {1, 128}, {2, 16383}, {3, 16384}}); err != nil {
+		t.Fatal(err)
+	}
+	wide, err := b.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) func([]byte, uint64) []byte {
+		return func(dst []byte, v uint64) []byte { return paddedUvarint(dst, v, size) }
+	}
+	return []decodeCase{
+		{"rows at 127, 128, 16383, 16384", appendFrozen(nil, wide, binary.AppendUvarint), wide},
+		{"ten-byte deltas", appendFrozen(nil, small, padded(10)), small},
+		{"eleven-byte deltas", appendFrozen(nil, small, padded(11)), nil},
+	}
+}
+
+// TestDecodeFrozenVarintWidths decodes FuzzDecodeFrozen's varint seeds.
+// appendFrozen must reproduce WriteBinary's bytes for them to mean
+// anything.
+func TestDecodeFrozenVarintWidths(t *testing.T) {
+	f := randomGraph(t, 40, 120, 3).Freeze()
+	var buf bytes.Buffer
+	if err := f.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(appendFrozen(nil, f, binary.AppendUvarint), buf.Bytes()) {
+		t.Fatal("appendFrozen differs from WriteBinary")
+	}
+	for _, tc := range varintWidthCases(t) {
+		got, err := DecodeFrozen(tc.data)
+		if tc.want == nil {
+			if !errors.Is(err, ErrCodec) {
+				t.Fatalf("%s: got %v, want ErrCodec", tc.name, err)
+			}
+			continue
+		}
+		if err != nil || !got.Equal(tc.want) {
+			t.Fatalf("%s: decode error %v, or a different graph", tc.name, err)
+		}
+	}
 }

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// CountRole returns how many people have the given role (all schools).
+func (w *World) CountRole(r Role) int {
+	n := 0
+	for _, p := range w.People {
+		if p.Role == r {
+			n++
+		}
+	}
+	return n
+}
+
 // TestParallelWorkerInvariance is the tentpole determinism property: the
 // sharded generator must produce bit-identical worlds at every worker count.
 // Run under -race this also exercises the shard scheduling for data races.

@@ -2,10 +2,22 @@ package worldgen
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// ReadBinary decodes a world written by WriteBinary from a reader: it
+// reads all of in and decodes the bytes as ReadSnapshotFile does.
+func ReadBinary(in io.Reader) (*World, error) {
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, fmt.Errorf("worldgen: reading snapshot: %w", err)
+	}
+	return decodeBinary(data)
+}
 
 // varyConfig derives structurally distinct small configs from a seed so the
 // round-trip property is exercised across world shapes, not just one.
@@ -219,5 +231,45 @@ func TestWriteFileAtomic(t *testing.T) {
 		if e.Name() != "world.bin" && e.Name() != "not-a-dir" {
 			t.Fatalf("stray file %q left in output directory", e.Name())
 		}
+	}
+}
+
+// TestSnapshotDecodeAllocs pins decodeBinary's allocations on a fixed
+// city-sized world: one per distinct string literal, one per non-empty
+// child list and three per school (the School, its name, its city), plus
+// decodeOverhead for everything else: the World, the person slab and the
+// people and school slices, the graph's Frozen and its three arrays, and
+// the literal table's growth.
+func TestSnapshotDecodeAllocs(t *testing.T) {
+	const decodeOverhead = 32 // 27 measured with Go 1.24
+	w, err := GenerateParallel(CityConfig(1), 2013, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	literals := make(map[string]bool)
+	children := 0
+	for _, p := range w.People {
+		for _, s := range []string{p.FirstName, p.LastName, p.AliasName, p.CurrentCity, p.Hometown, p.StreetAddress} {
+			literals[s] = true
+		}
+		if len(p.ChildIDs) > 0 {
+			children++
+		}
+	}
+	bound := len(literals) + children + 3*len(w.Schools) + decodeOverhead
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := decodeBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d people, %d literals, %d child lists, %d schools: %v allocs, bound %d",
+		len(w.People), len(literals), children, len(w.Schools), got, bound)
+	if got > float64(bound) {
+		t.Fatalf("decodeBinary made %v allocations, bound %d", got, bound)
 	}
 }

@@ -92,6 +92,9 @@ func hostileJSON(t testing.TB, w *World) []namedInput {
 		{"self-loop", mutatedJSON(t, w, withEdge(acct, acct))},
 		{"null person", mutatedJSON(t, w, func(s *snapshot) { s.People = []*Person{nil} })},
 		{"null school", mutatedJSON(t, w, func(s *snapshot) { s.Schools = []*School{nil} })},
+		{"school out of range", mutatedJSON(t, w, func(s *snapshot) {
+			atMissingSchool(firstAccount(t, s.People, RoleOutside, RoleParent), len(s.Schools))
+		})},
 	}
 }
 

@@ -137,27 +137,25 @@ func (w *World) RosterOnOSN(schoolID int) []*Person {
 	return out
 }
 
-// CountRole returns how many people have the given role (all schools).
-func (w *World) CountRole(r Role) int {
-	n := 0
-	for _, p := range w.People {
-		if p.Role == r {
-			n++
-		}
-	}
-	return n
-}
-
 // CheckInvariants validates cross-cutting structural properties of the
-// world: the graph's own invariants, a graph whose ID space fits the people
-// and whose users are exactly the account holders, and coherent person
-// records. The generators and both snapshot readers call it before
-// returning a world.
+// world: the graph's own invariants, then the people's (checkPeople). The
+// generators and the JSON reader call it before returning a world; the
+// binary reader calls checkPeople alone, because socialgraph.DecodeFrozen
+// proves the graph's invariants as it decodes it.
 func (w *World) CheckInvariants() error {
-	frozen := w.Frozen()
-	if err := frozen.CheckInvariants(); err != nil {
+	if err := w.Frozen().CheckInvariants(); err != nil {
 		return err
 	}
+	return w.checkPeople()
+}
+
+// checkPeople validates the person records against the graph and the
+// schools: a graph whose ID space fits the people and whose users are
+// exactly the account holders, a school reference that is -1 or a real
+// school for everyone and a real school for students, alumni, former
+// students and teachers, and coherent ages, registrations and children.
+func (w *World) checkPeople() error {
+	frozen := w.Frozen()
 	if frozen.NumIDs() > len(w.People) {
 		return fmt.Errorf("worldgen: graph spans %d IDs, world has %d people", frozen.NumIDs(), len(w.People))
 	}
@@ -168,10 +166,9 @@ func (w *World) CheckInvariants() error {
 		if p.HasAccount != frozen.HasUser(p.ID) {
 			return fmt.Errorf("worldgen: person %d account flag disagrees with graph", p.ID)
 		}
-		if p.Role == RoleStudent || p.Role == RoleAlumnus || p.Role == RoleFormer || p.Role == RoleTeacher {
-			if w.School(p.SchoolID) == nil {
-				return fmt.Errorf("worldgen: %s %d references missing school %d", p.Role, p.ID, p.SchoolID)
-			}
+		schooled := p.Role == RoleStudent || p.Role == RoleAlumnus || p.Role == RoleFormer || p.Role == RoleTeacher
+		if (schooled || p.SchoolID != -1) && w.School(p.SchoolID) == nil {
+			return fmt.Errorf("worldgen: %s %d references missing school %d", p.Role, p.ID, p.SchoolID)
 		}
 		if p.Role == RoleStudent {
 			s := w.School(p.SchoolID)
