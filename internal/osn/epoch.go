@@ -64,8 +64,10 @@ type epoch struct {
 // given policy snapshot: public IDs are fixed for the platform's lifetime,
 // everything else — search indexes, pre-resolved profiles, friend lists,
 // policy gates, school table — is resolved fresh. Runs off the read path;
-// serving continues on the previous epoch meanwhile.
-func (p *Platform) buildEpoch(seq uint64, pol *Policy) *epoch {
+// serving continues on the previous epoch meanwhile. pub is the
+// platform's public IDs, or nil while they are still being drawn: the
+// profiles then carry no ID, and the caller sets them.
+func (p *Platform) buildEpoch(seq uint64, pol *Policy, pub []PublicID) *epoch {
 	w := p.world
 	e := newEpoch(seq, w, pol)
 	e.searchIndex = make([][]socialgraph.UserID, len(w.Schools))
@@ -89,7 +91,7 @@ func (p *Platform) buildEpoch(seq uint64, pol *Policy) *epoch {
 	for _, idx := range e.cityIndex {
 		sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
 	}
-	e.read = buildReadPlane(w, pol, p.pub)
+	e.read = buildReadPlane(w, pol, pub)
 	return e
 }
 
@@ -240,7 +242,7 @@ func (p *Platform) AdvanceEpochDelta(ctx context.Context, d *worldgen.Delta) Epo
 		next, bd = p.buildEpochDelta(old.seq+1, pol, old, d)
 	}
 	if next == nil {
-		next = p.buildEpoch(old.seq+1, pol)
+		next = p.buildEpoch(old.seq+1, pol, p.pub)
 		bd = buildBreakdown{}
 	}
 	build := time.Since(start)

@@ -192,6 +192,10 @@ func NewPlatform(w *worldgen.World, pol *Policy, cfg Config) *Platform {
 // "osn.freeze" trace span (a no-op without a trace in ctx): the freeze
 // step is the one-time cost that buys the lock-free read plane, and run
 // manifests should show it as a phase of its own.
+//
+// The first epoch's build needs the public IDs for its profiles' ID field
+// only, so one goroutine draws them while the build runs without them,
+// and the profiles get their IDs once both are done.
 func NewPlatformContext(ctx context.Context, w *worldgen.World, pol *Policy, cfg Config) *Platform {
 	_, span := obs.StartSpan(ctx, "osn.freeze")
 	defer span.End()
@@ -201,11 +205,18 @@ func NewPlatformContext(ctx context.Context, w *worldgen.World, pol *Policy, cfg
 		policy: pol,
 		cfg:    cfg.withDefaults(),
 		seed:   w.Seed,
-		byPub:  make(map[PublicID]socialgraph.UserID, w.Frozen().NumUsers()),
 		ctl:    newControlPlane(),
 	}
-	p.assignPublicIDs()
-	p.cur.Store(p.buildEpoch(0, pol))
+	drawn := make(chan struct{})
+	go p.assignPublicIDs(drawn)
+	e := p.buildEpoch(0, pol, nil)
+	<-drawn
+	for u, pp := range e.read.profiles {
+		if pp != nil {
+			pp.ID = p.pub[u]
+		}
+	}
+	p.cur.Store(e)
 	p.freezeDur = time.Since(start)
 	return p
 }
@@ -288,12 +299,14 @@ func (p *Platform) WithTelemetry(t *telemetry.Table) *Platform {
 func (p *Platform) Telemetry() *telemetry.Table { return p.tel }
 
 // assignPublicIDs gives every account holder a public ID drawn from the
-// platform's seed. byPub must be sized for the account holders, who are
-// the graph's users. Each candidate is formatted into buf, so only the ID
-// kept is allocated.
-func (p *Platform) assignPublicIDs() {
+// platform's seed, and closes done. byPub is sized for the account
+// holders, who are the graph's users. Each candidate is formatted into
+// buf, so only the ID kept is allocated.
+func (p *Platform) assignPublicIDs(done chan<- struct{}) {
+	defer close(done)
 	rng := sim.New(p.seed).Stream("publicids")
 	p.pub = make([]PublicID, len(p.world.People))
+	p.byPub = make(map[PublicID]socialgraph.UserID, p.world.Frozen().NumUsers())
 	var buf [16]byte
 	for _, person := range p.world.People {
 		if !person.HasAccount {

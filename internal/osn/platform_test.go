@@ -2,6 +2,9 @@ package osn
 
 import (
 	"errors"
+	"maps"
+	"slices"
+	"strconv"
 	"testing"
 
 	"hsprofiler/internal/sim"
@@ -430,3 +433,64 @@ func TestPlatformAccessors(t *testing.T) {
 type osn_testFriendPage struct{}
 
 func (osn_testFriendPage) cfg() Config { return Config{} }
+
+// TestPublicIDsMatchSequentialDraw holds the public IDs, drawn while the
+// first epoch builds, to referencePublicIDs, the draw made alone: the same
+// pub and byPub, and every first-epoch profile carrying its holder's ID.
+// Tiny and HS1 worlds.
+func TestPublicIDsMatchSequentialDraw(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  worldgen.Config
+		seed uint64
+	}{
+		{"tiny", worldgen.TinyConfig(), 99},
+		{"hs1", worldgen.HS1Config(), 2013},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := worldgen.GenerateParallel(tc.cfg, tc.seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewPlatform(w, Facebook(), Config{})
+			pub, byPub := referencePublicIDs(w)
+			if !slices.Equal(p.pub, pub) {
+				t.Fatal("pub differs from the sequential draw")
+			}
+			if !maps.Equal(p.byPub, byPub) {
+				t.Fatal("byPub differs from the sequential draw")
+			}
+			for u, pp := range p.cur.Load().read.profiles {
+				if (pp == nil) != (pub[u] == "") {
+					t.Fatalf("user %d: profile %v, public ID %q", u, pp != nil, pub[u])
+				}
+				if pp != nil && pp.ID != pub[u] {
+					t.Fatalf("user %d: profile ID %q, drawn %q", u, pp.ID, pub[u])
+				}
+			}
+		})
+	}
+}
+
+// referencePublicIDs draws w's public IDs one account holder at a time, in
+// ID order, from the seed's "publicids" stream: each a "u" and 40 random
+// bits in base 36, drawn again while taken.
+func referencePublicIDs(w *worldgen.World) ([]PublicID, map[PublicID]socialgraph.UserID) {
+	rng := sim.New(w.Seed).Stream("publicids")
+	pub := make([]PublicID, len(w.People))
+	byPub := make(map[PublicID]socialgraph.UserID)
+	for _, person := range w.People {
+		if !person.HasAccount {
+			continue
+		}
+		for {
+			id := PublicID("u" + strconv.FormatUint(rng.Uint64()&0xffffffffff, 36))
+			if _, taken := byPub[id]; !taken {
+				pub[person.ID] = id
+				byPub[id] = person.ID
+				break
+			}
+		}
+	}
+	return pub, byPub
+}

@@ -74,8 +74,10 @@ func buildReadPlane(w *worldgen.World, pol *Policy, pub []PublicID) *readPlane {
 // made once: the display names, which the read plane keeps, and each
 // school's network string.
 type profileRenderer struct {
-	w     *worldgen.World
-	pol   *Policy
+	w   *worldgen.World
+	pol *Policy
+	// pub is the platform's public IDs; nil leaves each profile's ID
+	// empty, for a build that runs while they are drawn.
 	pub   []PublicID
 	names []string
 	// networks[s] is school s's network, "<City> network".
@@ -100,9 +102,11 @@ func (r *profileRenderer) profile(u socialgraph.UserID, regMinor bool) *PublicPr
 	vis := func(a Attribute) bool { return visibleToStranger(pol, person, regMinor, a) }
 
 	pp := &PublicProfile{
-		ID:       r.pub[u],
 		Name:     r.names[u],
 		HasPhoto: vis(AttrProfilePhoto),
+	}
+	if r.pub != nil {
+		pp.ID = r.pub[u]
 	}
 	if vis(AttrGender) {
 		pp.Gender = person.Gender.String()

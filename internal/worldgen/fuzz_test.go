@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hsprofiler/internal/sim"
@@ -68,10 +69,12 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzReadJSON holds the JSON reader to FuzzReadSnapshot's property. The
-// seed corpus is a valid snapshot plus the hostile shapes
-// TestReadJSONRejectsGarbage pins: endpoints outside the people, an edge to
-// a person without an account, a self-loop, null records.
+// FuzzReadJSON holds the JSON reader to FuzzReadSnapshot's property, and
+// holds every world it accepts to the binary format: the world's binary
+// snapshot decodes, to a world of the same fingerprint. The seed corpus is
+// a valid snapshot plus the hostile shapes TestReadJSONRejectsGarbage pins:
+// endpoints outside the people, an edge to a person without an account, a
+// self-loop, null records, and records the binary reader rejects.
 func FuzzReadJSON(f *testing.F) {
 	w := fuzzWorld(f)
 	var buf bytes.Buffer
@@ -85,7 +88,31 @@ func FuzzReadJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadJSON(bytes.NewReader(data))
 		checkDecoded(t, got, err)
+		if err == nil {
+			checkSurvivesBinary(t, got)
+		}
 	})
+}
+
+// checkSurvivesBinary requires w's binary snapshot to decode to a world of
+// w's fingerprint.
+func checkSurvivesBinary(t *testing.T, w *World) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.WriteBinary(&buf); err != nil {
+		t.Fatalf("accepted world does not encode: %v", err)
+	}
+	back, err := decodeBinary(buf.Bytes())
+	if err != nil {
+		t.Fatalf("accepted world's binary snapshot fails to decode: %v", err)
+	}
+	want, err := w.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := back.Fingerprint(); err != nil || got != want {
+		t.Fatalf("binary snapshot decodes to fingerprint %s (%v), want %s", got, err, want)
+	}
 }
 
 // fuzzWorld is a valid world of three people, small enough that the
@@ -163,27 +190,53 @@ func TestReadBinaryErrorsAreTyped(t *testing.T) {
 	}
 	incoherent := encodeEdited(func(p *Person) { p.RegisteredBirth = p.TrueBirth.AddYears(1) })
 	missingSchool := encodeEdited(func(p *Person) { atMissingSchool(p, len(w.Schools)) })
+
+	// The people and graph sections decode side by side, and a failure in
+	// each must still report the first in file order. The section edits
+	// keep valid checksums, so each reaches the decoder behind them: a
+	// stray byte after the last person, and a graph payload cut in half.
+	// Cutting the file's last 100 bytes fails the graph's framing instead.
+	badPeople := rewriteSection(t, valid, secPeople, func(b []byte) []byte { return append(bytes.Clone(b), 0) })
+	badGraph := func(snap []byte) []byte {
+		return rewriteSection(t, snap, secGraph, func(b []byte) []byte { return b[:len(b)/2] })
+	}
+	badGraphFrame := func(snap []byte) []byte { return snap[:len(snap)-100] }
+	const (
+		peopleErr = "1 trailing bytes in people section"
+		graphErr  = "graph: socialgraph:"
+		frameErr  = "section 0x4 declares"
+	)
 	for _, tc := range []struct {
 		name string
 		data []byte
+		want string // what the error must say, if anything in particular
 	}{
-		{"empty", nil},
-		{"bad magic", []byte("XXXX....")},
-		{"version skew", append(append([]byte(nil), valid[:4]...), append([]byte{9}, valid[5:]...)...)},
-		{"truncated", valid[:len(valid)/3]},
-		{"checksum", flipByte(valid, len(valid)/2)},
-		{"invariants", incoherent},
-		{"school out of range", missingSchool},
+		{"empty", nil, ""},
+		{"bad magic", []byte("XXXX...."), ""},
+		{"version skew", append(append([]byte(nil), valid[:4]...), append([]byte{9}, valid[5:]...)...), ""},
+		{"truncated", valid[:len(valid)/3], ""},
+		{"checksum", flipByte(valid, len(valid)/2), ""},
+		{"invariants", incoherent, ""},
+		{"school out of range", missingSchool, ""},
+		{"order/people record beside bad graph", badGraph(badPeople), peopleErr},
+		{"order/people record beside bad graph framing", badGraphFrame(badPeople), peopleErr},
+		{"order/bad graph alone", badGraph(valid), graphErr},
+		{"order/bad graph framing alone", badGraphFrame(valid), frameErr},
 	} {
-		_, err := ReadBinary(bytes.NewReader(tc.data))
-		if err == nil {
-			// A mid-payload bit flip is caught by the section checksum, so
-			// every case here must error.
-			t.Fatalf("%s: accepted", tc.name)
-		}
-		if !errors.Is(err, ErrSnapshot) {
-			t.Fatalf("%s: error not typed ErrSnapshot: %v", tc.name, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadBinary(bytes.NewReader(tc.data))
+			if err == nil {
+				// A mid-payload bit flip is caught by the section checksum,
+				// so every case here must error.
+				t.Fatal("accepted")
+			}
+			if !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("error not typed ErrSnapshot: %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %q, want the error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -218,9 +271,10 @@ func flipByte(b []byte, i int) []byte {
 // fails with a typed error and drives no allocation beyond a small multiple
 // of the input, whether the snapshot comes from a reader or a file. The
 // lies are a section header claiming 2^40 payload bytes, a meta section
-// claiming one person per byte of the people section, a graph payload
-// claiming 2^37 edges, both with valid checksums, and a JSON edge to user
-// 2^24.
+// claiming one person per byte of the people section or as many as its
+// bytes can hold, a graph payload claiming 2^37 edges, all with valid
+// checksums, and a JSON edge to user 2^24. The graph decodes beside the
+// people, so a people-count lie allocates the valid graph too.
 func TestLyingLengthsBoundAllocation(t *testing.T) {
 	w, err := GenerateParallel(TinyConfig(), 5, 2)
 	if err != nil {
@@ -237,16 +291,22 @@ func TestLyingLengthsBoundAllocation(t *testing.T) {
 	_, k := binary.Uvarint(valid[header+1:])
 	hugeSection := append(append(append([]byte(nil), valid[:header+1]...), binary.AppendUvarint(nil, 1<<40)...), valid[header+1+k:]...)
 
-	// The meta section's people count, its last varint, rewritten to the
-	// people section's length.
+	// The meta section's people count, its last varint, rewritten: to the
+	// people section's length, and to the most records that length can
+	// hold, which sizes the person slab and fails at the first missing
+	// record while the valid graph beside it decodes.
 	peopleBytes := len(sectionPayload(t, valid, secPeople))
-	hugePeople := rewriteSection(t, valid, secMeta, func(meta []byte) []byte {
-		r := reader{b: meta}
-		r.uvarint("seed")
-		r.date("date")
-		r.uvarint("school count")
-		return binary.AppendUvarint(bytes.Clone(meta[:r.i]), uint64(peopleBytes))
-	})
+	peopleCount := func(n int) []byte {
+		return rewriteSection(t, valid, secMeta, func(meta []byte) []byte {
+			r := reader{b: meta}
+			r.uvarint("seed")
+			r.date("date")
+			r.uvarint("school count")
+			return binary.AppendUvarint(bytes.Clone(meta[:r.i]), uint64(n))
+		})
+	}
+	hugePeople := peopleCount(peopleBytes)
+	slabPeople := peopleCount(peopleBytes / minPersonBytes)
 
 	// The graph payload's edge count, which follows the ID-space varint,
 	// the present bitmap and the user count, rewritten.
@@ -272,6 +332,7 @@ func TestLyingLengthsBoundAllocation(t *testing.T) {
 	}{
 		{"section claims 2^40 bytes", hugeSection, ReadBinary, false},
 		{"people count claims one person per byte", hugePeople, ReadBinary, false},
+		{"people count claims a full slab beside a valid graph", slabPeople, ReadBinary, false},
 		{"graph claims 2^37 edges", hugeGraph, ReadBinary, true},
 		{"JSON edge to user 2^24", hugeJSON, ReadJSON, false},
 	} {
@@ -300,6 +361,7 @@ func TestLyingLengthsBoundAllocation(t *testing.T) {
 				t.Fatalf("%s from %s: lie not caught by the graph decoder: %v", tc.name, src.name, err)
 			}
 			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s from %s: %d bytes allocated for %d input bytes", tc.name, src.name, alloc, len(tc.data))
 			if limit := 16 * uint64(len(tc.data)); alloc > limit {
 				t.Fatalf("%s from %s: allocated %d bytes for %d input bytes, limit %d", tc.name, src.name, alloc, len(tc.data), limit)
 			}

@@ -46,10 +46,11 @@ func (w *World) WriteJSON(out io.Writer) error {
 }
 
 // ReadJSON deserializes a world written by WriteJSON, builds its graph
-// with the generators' FrozenBuilder path and re-validates its invariants.
-// The input is untrusted: a null person or school, an edge endpoint outside
-// the people or a self-loop is rejected before anything is sized from it,
-// and every failure wraps ErrSnapshot.
+// with the generators' FrozenBuilder path and re-validates its invariants,
+// which include every record check the binary reader makes, so a world
+// ReadJSON accepts survives WriteBinary. The input is untrusted: a null
+// person, an edge endpoint outside the people or a self-loop is rejected
+// before anything is sized from it, and every failure wraps ErrSnapshot.
 func ReadJSON(in io.Reader) (*World, error) {
 	var snap snapshot
 	if err := json.NewDecoder(in).Decode(&snap); err != nil {
@@ -57,11 +58,6 @@ func ReadJSON(in io.Reader) (*World, error) {
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshot, snap.Version, snapshotVersion)
-	}
-	for i, s := range snap.Schools {
-		if s == nil {
-			return nil, fmt.Errorf("%w: school %d is null", ErrSnapshot, i)
-		}
 	}
 	for i, p := range snap.People {
 		if p == nil {

@@ -241,7 +241,7 @@ func TestWriteFileAtomic(t *testing.T) {
 // people and school slices, the graph's Frozen and its three arrays, and
 // the literal table's growth.
 func TestSnapshotDecodeAllocs(t *testing.T) {
-	const decodeOverhead = 32 // 27 measured with Go 1.24
+	const decodeOverhead = 32 // 13 measured with Go 1.24
 	w, err := GenerateParallel(CityConfig(1), 2013, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -95,6 +95,13 @@ func hostileJSON(t testing.TB, w *World) []namedInput {
 		{"school out of range", mutatedJSON(t, w, func(s *snapshot) {
 			atMissingSchool(firstAccount(t, s.People, RoleOutside, RoleParent), len(s.Schools))
 		})},
+		// Records the binary reader rejects as it decodes them, so a JSON
+		// world that carried one would not survive the binary format.
+		{"school at index 0 with ID 7", mutatedJSON(t, w, func(s *snapshot) { s.Schools[0].ID = 7 })},
+		{"role 99", mutatedJSON(t, w, func(s *snapshot) { s.People[0].Role = 99 })},
+		{"gender 9", mutatedJSON(t, w, func(s *snapshot) { s.People[0].Gender = 9 })},
+		{"-5 photos", mutatedJSON(t, w, func(s *snapshot) { s.People[0].PhotosShared = -5 })},
+		{"2^21 photos", mutatedJSON(t, w, func(s *snapshot) { s.People[0].PhotosShared = 1 << 21 })},
 	}
 }
 

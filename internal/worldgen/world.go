@@ -2,8 +2,10 @@ package worldgen
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
+	"hsprofiler/internal/namegen"
 	"hsprofiler/internal/sim"
 	"hsprofiler/internal/socialgraph"
 )
@@ -149,19 +151,25 @@ func (w *World) CheckInvariants() error {
 	return w.checkPeople()
 }
 
-// checkPeople validates the person records against the graph and the
-// schools: a graph whose ID space fits the people and whose users are
-// exactly the account holders, a school reference that is -1 or a real
-// school for everyone and a real school for students, alumni, former
-// students and teachers, and coherent ages, registrations and children.
+// checkPeople validates the schools and the person records against the
+// graph. First come the checks the binary reader makes as it decodes
+// (checkSchools, checkRecord), so that a world one reader accepts survives
+// the other's format. Then: a graph whose ID space fits the people and
+// whose users are exactly the account holders, a school reference that is
+// -1 or a real school for everyone and a real school for students, alumni,
+// former students and teachers, and coherent ages, registrations and
+// children.
 func (w *World) checkPeople() error {
+	if err := w.checkSchools(); err != nil {
+		return err
+	}
 	frozen := w.Frozen()
 	if frozen.NumIDs() > len(w.People) {
 		return fmt.Errorf("worldgen: graph spans %d IDs, world has %d people", frozen.NumIDs(), len(w.People))
 	}
 	for i, p := range w.People {
-		if int(p.ID) != i {
-			return fmt.Errorf("worldgen: person at index %d has ID %d", i, p.ID)
+		if err := checkRecord(i, p); err != nil {
+			return err
 		}
 		if p.HasAccount != frozen.HasUser(p.ID) {
 			return fmt.Errorf("worldgen: person %d account flag disagrees with graph", p.ID)
@@ -201,6 +209,55 @@ func (w *World) checkPeople() error {
 		}
 	}
 	return nil
+}
+
+// checkSchools makes the binary reader's checks of the collection date
+// and the school table: a month and day that each fit a byte, no more
+// schools than people, and every school present at its own index.
+func (w *World) checkSchools() error {
+	if !byteDate(w.Now) {
+		return fmt.Errorf("worldgen: collection date %v out of range", w.Now)
+	}
+	if len(w.Schools) > len(w.People) {
+		return fmt.Errorf("worldgen: %d schools for %d people", len(w.Schools), len(w.People))
+	}
+	for i, s := range w.Schools {
+		if s == nil {
+			return fmt.Errorf("worldgen: school %d is nil", i)
+		}
+		if s.ID != i {
+			return fmt.Errorf("worldgen: school %d has ID %d", i, s.ID)
+		}
+	}
+	return nil
+}
+
+// maxPhotos bounds a person's shared-photo count.
+const maxPhotos = 1 << 20
+
+// checkRecord makes the binary reader's checks of person i's record: the
+// person at their own index, role and gender in range, a photo count from
+// 0 to maxPhotos, and birth dates whose month and day each fit a byte.
+func checkRecord(i int, p *Person) error {
+	switch {
+	case int(p.ID) != i:
+		return fmt.Errorf("worldgen: person at index %d has ID %d", i, p.ID)
+	case p.Role < RoleStudent || p.Role > RoleOutside:
+		return fmt.Errorf("worldgen: person %d has role %d", i, p.Role)
+	case p.Gender < namegen.Female || p.Gender > namegen.Male:
+		return fmt.Errorf("worldgen: person %d has gender %d", i, p.Gender)
+	case p.PhotosShared < 0 || p.PhotosShared > maxPhotos:
+		return fmt.Errorf("worldgen: person %d shares %d photos", i, p.PhotosShared)
+	case !byteDate(p.TrueBirth) || !byteDate(p.RegisteredBirth):
+		return fmt.Errorf("worldgen: person %d has a birth date out of range", i)
+	}
+	return nil
+}
+
+// byteDate reports whether d's month and day each fit a byte, as the
+// binary format stores them.
+func byteDate(d sim.Date) bool {
+	return uint(d.Month) <= math.MaxUint8 && uint(d.Day) <= math.MaxUint8
 }
 
 // Clone returns a copy of the world with independently mutable Person
