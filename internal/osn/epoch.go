@@ -2,7 +2,6 @@ package osn
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -73,6 +72,8 @@ func (p *Platform) buildEpoch(seq uint64, pol *Policy, pub []PublicID) *epoch {
 	e.searchIndex = make([][]socialgraph.UserID, len(w.Schools))
 	e.cityIndex = make(map[string][]socialgraph.UserID)
 	keys := cityKeys{}
+	// Person i sits at index i (World.checkPeople), so every index is
+	// appended in ascending ID order and needs no sort.
 	for _, person := range w.People {
 		if !person.HasAccount || !person.Privacy.PublicSearch {
 			continue
@@ -84,12 +85,6 @@ func (p *Platform) buildEpoch(seq uint64, pol *Policy, pub []PublicID) *epoch {
 			key := keys.of(person.CurrentCity)
 			e.cityIndex[key] = append(e.cityIndex[key], person.ID)
 		}
-	}
-	for _, idx := range e.searchIndex {
-		sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	}
-	for _, idx := range e.cityIndex {
-		sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
 	}
 	e.read = buildReadPlane(w, pol, pub)
 	return e

@@ -43,6 +43,7 @@ func comparePlatformEpochs(t *testing.T, label string, got, want *Platform) {
 	// friendVisible and names — all three compared above — so there is no
 	// materialized friend-list state left to diverge; the serving
 	// transcript below still exercises the rendered pages end to end.
+	checkIndexesAscending(t, label, ew)
 	if !reflect.DeepEqual(eg.searchIndex, ew.searchIndex) {
 		t.Fatalf("%s: search indexes diverge", label)
 	}
@@ -51,6 +52,26 @@ func comparePlatformEpochs(t *testing.T, label string, got, want *Platform) {
 	}
 	if !reflect.DeepEqual(eg.schools, ew.schools) || !reflect.DeepEqual(eg.currentYear, ew.currentYear) {
 		t.Fatalf("%s: school table diverges", label)
+	}
+}
+
+// checkIndexesAscending fails unless every school and city index of e is
+// strictly ascending, as buildEpoch appends them in person-ID order.
+func checkIndexesAscending(t *testing.T, label string, e *epoch) {
+	t.Helper()
+	for s, idx := range e.searchIndex {
+		for i := 1; i < len(idx); i++ {
+			if idx[i-1] >= idx[i] {
+				t.Fatalf("%s: school %d index not strictly ascending at %d", label, s, i)
+			}
+		}
+	}
+	for city, idx := range e.cityIndex {
+		for i := 1; i < len(idx); i++ {
+			if idx[i-1] >= idx[i] {
+				t.Fatalf("%s: city %q index not strictly ascending at %d", label, city, i)
+			}
+		}
 	}
 }
 

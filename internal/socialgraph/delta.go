@@ -4,46 +4,43 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // PatchStats reports where an incremental ApplyDelta spent its time, so the
-// rotation benchmarks can break epoch advance into phases. Copy is the
-// clean-span memmove phase (rows whose edge set did not change, copied
-// into the new adjacency by value); Merge is the dirty-row phase (rows
-// re-emitted by a linear 3-way merge — the incremental analog of the full
-// rebuild's per-row sort); Prep covers validation, patch-list construction
-// and finding the new snapshot's arrays.
+// rotation benchmarks can break epoch advance into phases. Prep covers
+// validation, the directed patch lists and finding the new snapshot's
+// arrays; Merge covers the row pass, which writes every row of the new
+// snapshot — each run of unchanged rows copied by value with one copy(),
+// each changed row re-emitted by a linear 3-way merge (the incremental
+// analog of the full rebuild's per-row sort). Prep + Copy + Merge is the
+// whole patch.
 type PatchStats struct {
 	DirtyRows int // rows whose edge set changed in this delta
-	Spans     int // contiguous clean spans copied wholesale
 	Prep      time.Duration
-	Copy      time.Duration
-	Merge     time.Duration
+	// Copy is zero: unchanged runs are copied inside the row pass, which
+	// Merge times. Prep + Copy + Merge still sums to the whole patch.
+	Copy  time.Duration
+	Merge time.Duration
 }
 
 // maxSpares bounds the earlier snapshots a PatchScratch keeps for reuse.
 const maxSpares = 2
 
 // PatchScratch is the reusable working memory of an incremental patch: the
-// directed patch lists, the dirty-row set with its per-row subrange tables,
-// the counting array behind the scatter sort, and up to two earlier input
-// snapshots whose arrays a later patch may write into. At metro scale the
-// working lists come to ~90MB per patch, and the adjacency each patch
-// returns to ~31MB. Reusing one PatchScratch across a rotation run keeps
-// both out of the allocator: once an earlier input has been retained and
-// every hold on it released (see Frozen), the next patch writes its
-// snapshot into that input's arrays. The zero value is ready to use. A
-// PatchScratch must not be shared by concurrent patches; the returned
-// snapshot never aliases it.
+// directed patch lists, the per-row ends of their runs, and up to two
+// earlier input snapshots whose arrays a later patch may write into. At
+// metro scale the working lists come to ~90MB per patch, and the
+// adjacency each patch returns to ~31MB. Reusing one PatchScratch across a
+// rotation run keeps both out of the allocator: once an earlier input has
+// been retained and every hold on it released (see Frozen), the next patch
+// writes its snapshot into that input's arrays. The zero value is ready to
+// use. A PatchScratch must not be shared by concurrent patches; the
+// returned snapshot never aliases it.
 type PatchScratch struct {
-	pos          []int32   // counting/offset array for the scatter, len n
-	dadds, drems []Edge    // directed patch lists, sorted by (row, friend)
-	dirty        []UserID  // sorted union of rows touched by the patch
-	addLo, addHi []int32   // dirty[i]'s subrange of dadds
-	remLo, remHi []int32   // dirty[i]'s subrange of drems
-	spare        []*Frozen // earlier inputs, oldest first, at most maxSpares
+	dadds, drems   []Edge    // directed patch lists, sorted by (row, friend)
+	addEnd, remEnd []int32   // row u's runs end there: dadds[addEnd[u-1]:addEnd[u]]
+	spare          []*Frozen // earlier inputs, oldest first, at most maxSpares
 }
 
 // arrays returns the offsets (length n) and adjacency (length m) of the
@@ -98,13 +95,12 @@ func growEdges(s []Edge, n int) []Edge {
 
 // ApplyDelta builds the next CSR snapshot from f plus an edge delta, and
 // reports where the patch spent its time. The cost is proportional to the
-// delta, not the snapshot: only rows whose edge sets changed are re-emitted
-// (each by a linear 3-way merge of the old row, the sorted additions and
-// the sorted removals), and every maximal run of unchanged rows between two
-// dirty rows is copied with a single copy() call. No intermediate edge list
-// is materialized, no row is ever re-sorted, and the result is
-// byte-identical to building the patched edge set from scratch with a
-// FrozenBuilder.
+// delta plus the rows, not the edges: one pass over the rows copies every
+// maximal run of unchanged rows with a single copy() and re-emits each row
+// whose edge set changed by a linear 3-way merge of the old row, the
+// sorted additions and the sorted removals. No intermediate edge list is
+// materialized, no row is ever re-sorted, and the result is byte-identical
+// to building the patched edge set from scratch with a FrozenBuilder.
 //
 // The new offsets and adjacency are written into the arrays of an earlier
 // input of s when that snapshot was retained and every hold on it has been
@@ -121,10 +117,11 @@ func growEdges(s []Edge, n int) []Edge {
 // reference — it is immutable and a delta never changes the population —
 // so users who lose their last friendship stay present.
 //
-// sortWorkers parallelizes the span-copy and row-merge phases; the result
-// is identical at any worker count because rows are independent and every
-// write lands at a precomputed offset. s is the patch's working memory;
-// rotation loops keep one across steps.
+// sortWorkers splits the row pass into that many contiguous ranges of
+// rows; the result is identical at any worker count because rows are
+// independent and every write lands at an offset known from the per-row
+// counts. s is the patch's working memory; rotation loops keep one across
+// steps.
 func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratch) (*Frozen, PatchStats, error) {
 	var st PatchStats
 	prep := time.Now()
@@ -132,101 +129,151 @@ func ApplyDelta(f *Frozen, adds, removes []Edge, sortWorkers int, s *PatchScratc
 	if err := validateDelta(f, adds, removes); err != nil {
 		return nil, st, err
 	}
-
-	// Directed patch lists: each undirected edge touches two rows. Sorted by
-	// (row, friend) so each dirty row's additions and removals are contiguous
-	// ascending runs — exactly what the per-row merge consumes.
-	s.pos = growInt32(s.pos, n)
-	s.dadds = directEdgesInto(growEdges(s.dadds, 2*len(adds)), adds, s.pos)
-	s.drems = directEdgesInto(growEdges(s.drems, 2*len(removes)), removes, s.pos)
-	dadds, drems := s.dadds, s.drems
-
+	if err := s.direct(f, adds, removes); err != nil {
+		return nil, st, err
+	}
 	next := &Frozen{
 		present: f.present,
 		users:   f.users,
 		edges:   f.edges + len(adds) - len(removes),
 	}
 	next.offsets, next.adj = s.arrays(f, n+1, len(f.adj)+2*(len(adds)-len(removes)))
-	// One fused O(n + patch) pass over the rows: the new offsets (a running
-	// shift accumulates each row's degree delta; clean rows keep their old
-	// degree), the sorted dirty-row set, and each dirty row's subranges of
-	// both patch lists — so the merge phase partitions across workers
-	// without ever re-scanning the patch lists.
-	s.dirty = s.dirty[:0]
-	s.addLo, s.addHi = s.addLo[:0], s.addHi[:0]
-	s.remLo, s.remHi = s.remLo[:0], s.remHi[:0]
-	ai, ri := 0, 0
-	var shift int64
-	for u := 0; u < n; u++ {
-		next.offsets[u] = f.offsets[u] + shift
-		a0, r0 := ai, ri
-		for ai < len(dadds) && int(dadds[ai].A) == u {
-			ai++
-			shift++
-		}
-		for ri < len(drems) && int(drems[ri].A) == u {
-			ri++
-			shift--
-		}
-		if ai > a0 || ri > r0 {
-			if f.offsets[u+1]+shift < next.offsets[u] {
-				return nil, st, fmt.Errorf("socialgraph: delta removes %d edges from row %d of degree %d", ri-r0, u, f.offsets[u+1]-f.offsets[u])
-			}
-			s.dirty = append(s.dirty, UserID(u))
-			s.addLo = append(s.addLo, int32(a0))
-			s.addHi = append(s.addHi, int32(ai))
-			s.remLo = append(s.remLo, int32(r0))
-			s.remHi = append(s.remHi, int32(ri))
-		}
-	}
-	next.offsets[n] = f.offsets[n] + shift
-	dirty := s.dirty
-	addLo, addHi, remLo, remHi := s.addLo, s.addHi, s.remLo, s.remHi
-	st.DirtyRows = len(dirty)
-	st.Spans = len(dirty) + 1
+	next.offsets[n] = int64(len(next.adj))
 	st.Prep = time.Since(prep)
 
-	// Phase 1: clean spans. Span i is the maximal run of unchanged rows
-	// before dirty[i] (after dirty[len-1] for the tail span); old and new
-	// offsets differ by a constant inside a span, so one copy() moves it.
-	copyStart := time.Now()
-	parallelFor(len(dirty)+1, sortWorkers, func(i int) {
-		lo := 0
-		if i > 0 {
-			lo = int(dirty[i-1]) + 1
-		}
-		hi := n
-		if i < len(dirty) {
-			hi = int(dirty[i])
-		}
-		if lo < hi {
-			copy(next.adj[next.offsets[lo]:next.offsets[hi]], f.adj[f.offsets[lo]:f.offsets[hi]])
-		}
-	})
-	st.Copy = time.Since(copyStart)
-
-	// Phase 2: dirty rows. Each is rebuilt by a linear 3-way merge — old row
-	// minus its removals, interleaved with its additions — which emits the
-	// row already sorted ascending, so no re-sort happens anywhere.
-	mergeStart := time.Now()
-	var bad atomic.Int64
-	bad.Store(-1)
-	parallelFor(len(dirty), sortWorkers, func(i int) {
-		u := dirty[i]
-		old := f.adj[f.offsets[u]:f.offsets[u+1]]
-		dst := next.adj[next.offsets[u]:next.offsets[u+1]]
-		add := dadds[addLo[i]:addHi[i]]
-		rem := drems[remLo[i]:remHi[i]]
-		if !mergeRow(dst, old, add, rem) {
-			bad.CompareAndSwap(-1, int64(u))
-		}
-	})
-	st.Merge = time.Since(mergeStart)
-	if u := bad.Load(); u >= 0 {
-		return nil, st, fmt.Errorf("socialgraph: patch merge mismatch at row %d", u)
+	pass := time.Now()
+	dirty, bad := s.rows(f, next, sortWorkers)
+	st.Merge = time.Since(pass)
+	if bad >= 0 {
+		return nil, st, fmt.Errorf("socialgraph: patch merge mismatch at row %d", bad)
 	}
+	st.DirtyRows = dirty
 	s.keep(f)
 	return next, st, nil
+}
+
+// parallelRows is the fewest rows ApplyDelta splits across workers.
+const parallelRows = 1024
+
+// rows runs emitRows over every row of f, split into up to workers
+// contiguous ranges, and returns the number of changed rows and the first
+// row whose patch did not line up, or -1 — at any worker count the same.
+func (s *PatchScratch) rows(f, next *Frozen, workers int) (dirty, bad int) {
+	n := len(f.present)
+	if workers <= 1 || n < parallelRows {
+		return s.emitRows(f, next, 0, n)
+	}
+	chunk := (n + workers - 1) / workers
+	dirtyAt, badAt := make([]int, workers), make([]int, workers)
+	var wg sync.WaitGroup
+	for i := range workers {
+		lo, hi := min(i*chunk, n), min((i+1)*chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dirtyAt[i], badAt[i] = s.emitRows(f, next, lo, hi)
+		}()
+	}
+	wg.Wait()
+	bad = -1
+	for i := range workers {
+		dirty += dirtyAt[i]
+		if bad < 0 {
+			bad = badAt[i]
+		}
+	}
+	return dirty, bad
+}
+
+// direct fills the directed patch lists with both entries of every edge
+// of adds and removes, each list sorted by (row, friend), and leaves
+// addEnd[u] and remEnd[u] at the end of row u's runs in them. It fails if
+// a row would lose more edges than it has plus gains, before anything is
+// sized by that row.
+//
+// No comparison sort runs. One pass counts both lists' entries per row,
+// and one pass over the rows turns the counts into run starts. The input
+// is (A,B)-sorted, so a stable scatter of the reversed entries {B,A} by
+// row keeps their friends ascending, and the forward entries {A,B} follow
+// in order. Within one row every reversed friend (< row, since A < B)
+// precedes every forward friend (> row), so the two runs concatenate, and
+// each scatter leaves its counter at the end of its row's run.
+func (s *PatchScratch) direct(f *Frozen, adds, removes []Edge) error {
+	n := len(f.present)
+	s.addEnd, s.remEnd = growInt32(s.addEnd, n), growInt32(s.remEnd, n)
+	addAt, remAt := s.addEnd, s.remEnd
+	clear(addAt)
+	clear(remAt)
+	for _, e := range adds {
+		addAt[e.A]++
+		addAt[e.B]++
+	}
+	for _, e := range removes {
+		remAt[e.A]++
+		remAt[e.B]++
+	}
+	var a, r int32
+	for u := range n {
+		ca, cr := addAt[u], remAt[u]
+		if deg := f.offsets[u+1] - f.offsets[u]; int64(cr) > deg+int64(ca) {
+			return fmt.Errorf("socialgraph: delta removes %d edges from row %d of degree %d", cr, u, deg)
+		}
+		addAt[u], remAt[u] = a, r
+		a, r = a+ca, r+cr
+	}
+	s.dadds = scatter(growEdges(s.dadds, 2*len(adds)), adds, addAt)
+	s.drems = scatter(growEdges(s.drems, 2*len(removes)), removes, remAt)
+	return nil
+}
+
+// scatter writes both directed entries of every normalized edge into out
+// (len 2·|edges|, fully overwritten), sorted by (row, friend): A is the
+// row, B the friend — NOT normalized. at[u] is where row u's run starts,
+// and ends up where it ends.
+func scatter(out, edges []Edge, at []int32) []Edge {
+	for _, e := range edges { // reversed entries first: friend < row
+		out[at[e.B]] = Edge{e.B, e.A}
+		at[e.B]++
+	}
+	for _, e := range edges { // forward entries after: friend > row
+		out[at[e.A]] = Edge{e.A, e.B}
+		at[e.A]++
+	}
+	return out
+}
+
+// emitRows writes rows [lo, hi) of next, offsets included, from f and the
+// directed patch lists: row u moves by the entries added minus removed in
+// the rows before it, a run of unchanged rows is one copy(), and a changed
+// row is merged. It returns the number of changed rows, and the first row
+// whose patch does not line up with it, or -1.
+func (s *PatchScratch) emitRows(f, next *Frozen, lo, hi int) (dirty, bad int) {
+	var a0, r0 int32 // where row u's runs start in dadds and drems
+	if lo > 0 {
+		a0, r0 = s.addEnd[lo-1], s.remEnd[lo-1]
+	}
+	run := lo // first row of the pending run of unchanged rows
+	for u := lo; u < hi; u++ {
+		a1, r1 := s.addEnd[u], s.remEnd[u]
+		next.offsets[u] = f.offsets[u] + int64(a0-r0)
+		if a1 == a0 && r1 == r0 {
+			continue
+		}
+		if run < u {
+			copy(next.adj[next.offsets[run]:next.offsets[u]], f.adj[f.offsets[run]:f.offsets[u]])
+		}
+		end := f.offsets[u+1] + int64(a1-r1)
+		if !mergeRow(next.adj[next.offsets[u]:end], f.adj[f.offsets[u]:f.offsets[u+1]], s.dadds[a0:a1], s.drems[r0:r1]) {
+			return dirty, u
+		}
+		dirty++
+		run, a0, r0 = u+1, a1, r1
+	}
+	if run < hi {
+		end := f.offsets[hi] + int64(a0-r0)
+		copy(next.adj[next.offsets[run]:end], f.adj[f.offsets[run]:f.offsets[hi]])
+	}
+	return dirty, -1
 }
 
 // validateDelta enforces the cheap half of the ApplyDelta contract in
@@ -264,46 +311,6 @@ func validateDelta(f *Frozen, adds, removes []Edge) error {
 		return fmt.Errorf("socialgraph: delta removes %d edges from a snapshot of %d", len(removes), f.edges)
 	}
 	return nil
-}
-
-// directEdgesInto expands undirected edges into both directed entries in
-// out (len 2·|edges|, fully overwritten), sorted by (row, friend). A reused
-// as the row, B as the friend — NOT normalized. pos is an n-length counting
-// array whose contents are clobbered.
-//
-// No comparison sort runs: the input is (A,B)-sorted, so the forward
-// entries {A,B} are born row-sorted, and a stable counting scatter of the
-// reversed entries {B,A} by row keeps their friends ascending too. Within
-// one row every reversed friend (< row, since A < B) precedes every
-// forward friend (> row), so the two runs concatenate — the whole
-// expansion is two linear passes plus one pass over the counting array,
-// converted in place from per-row counts to running offsets.
-func directEdgesInto(out []Edge, edges []Edge, pos []int32) []Edge {
-	if len(edges) == 0 {
-		return out[:0]
-	}
-	for i := range pos {
-		pos[i] = 0
-	}
-	for _, e := range edges {
-		pos[e.A]++
-		pos[e.B]++
-	}
-	var sum int32
-	for u := range pos {
-		c := pos[u]
-		pos[u] = sum
-		sum += c
-	}
-	for _, e := range edges { // reversed entries first: friend < row
-		out[pos[e.B]] = Edge{e.B, e.A}
-		pos[e.B]++
-	}
-	for _, e := range edges { // forward entries after: friend > row
-		out[pos[e.A]] = Edge{e.A, e.B}
-		pos[e.A]++
-	}
-	return out
 }
 
 // mergeRow emits old minus rem, interleaved with add, into dst. All inputs
@@ -370,37 +377,4 @@ func mergeRow(dst, old []UserID, add, rem []Edge) bool {
 	}
 	copy(dst[k:], old[i:])
 	return true
-}
-
-// parallelFor runs fn(0..n-1) across workers goroutines in contiguous
-// chunks. Falls back to inline execution for small n or a single worker.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 || n < 1024 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -247,9 +248,8 @@ func TestApplyDeltaReuse(t *testing.T) {
 	// it until the step that replaces it, as a World holds its graph.
 	// Before each patch every array the patch may reuse is filled with a
 	// sentinel, so an entry the patch did not overwrite would show in the
-	// byte comparison with a FrozenBuilder rebuild. At 3,000 IDs the dirty
-	// rows and clean spans pass parallelFor's threshold, so four workers
-	// really split both phases.
+	// byte comparison with a FrozenBuilder rebuild. At 3,000 IDs the rows
+	// pass parallelRows, so four workers really split the row pass.
 	t.Run("chain", func(t *testing.T) {
 		const steps = 7
 		for _, workers := range []int{1, 4} {
@@ -395,20 +395,36 @@ func TestApplyDeltaReuse(t *testing.T) {
 // ApplyDeltaRebuild is the full-rebuild reference for ApplyDelta: the
 // surviving edges of f are streamed into a FrozenBuilder alongside the
 // additions, costing two linear passes over the whole edge set plus a
-// per-row sort. Same contract as ApplyDelta.
+// per-row sort. Same contract as ApplyDelta, checked the plain way: both
+// lists in range and normalized, add endpoints present, no edge in both
+// lists, every removal found while the edges are streamed, and no
+// addition already kept (Build's duplicate check).
 func ApplyDeltaRebuild(f *Frozen, adds, removes []Edge, sortWorkers int) (*Frozen, error) {
 	n := len(f.present)
+	for _, list := range [][]Edge{adds, removes} {
+		for i, e := range list {
+			if e.A < 0 || e.B < 0 || int(e.A) >= n || int(e.B) >= n {
+				return nil, fmt.Errorf("socialgraph: delta edge (%d,%d) outside the ID space", e.A, e.B)
+			}
+			if e.A >= e.B || (i > 0 && compareEdges(list[i-1], e) >= 0) {
+				return nil, fmt.Errorf("socialgraph: delta not normalized at (%d,%d)", e.A, e.B)
+			}
+		}
+	}
+	for _, e := range adds {
+		if !f.present[e.A] || !f.present[e.B] {
+			return nil, fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
+		}
+		if _, found := slices.BinarySearchFunc(removes, e, compareEdges); found {
+			return nil, fmt.Errorf("socialgraph: delta removes and re-adds edge (%d,%d)", e.A, e.B)
+		}
+	}
 	b := NewFrozenBuilder(n)
 	for u := 0; u < n; u++ {
 		if f.present[u] {
 			if err := b.AddUser(UserID(u)); err != nil {
 				return nil, err
 			}
-		}
-	}
-	for _, e := range adds {
-		if e.A < 0 || int(e.B) >= n || !f.present[e.A] || !f.present[e.B] {
-			return nil, fmt.Errorf("socialgraph: delta adds edge (%d,%d) with absent endpoint", e.A, e.B)
 		}
 	}
 	// Surviving edges, in one pass. Walking users ascending and each sorted
@@ -445,4 +461,201 @@ func ApplyDeltaRebuild(f *Frozen, adds, removes []Edge, sortWorkers int) (*Froze
 	// Build also rejects any add that duplicates a kept edge (the
 	// cross-shard duplicate check), enforcing the adds-are-new contract.
 	return b.Build(sortWorkers)
+}
+
+// Delta kinds FuzzApplyDeltaMatchesRebuild draws: a valid delta, or one
+// broken in one of the ways the ApplyDelta contract forbids.
+const (
+	deltaValid = iota
+	deltaAbsentRemoval
+	deltaReAddKept
+	deltaReAddRemoved
+	deltaUnnormalized
+	deltaOutOfRange
+	deltaKinds
+)
+
+// FuzzApplyDeltaMatchesRebuild holds the one-pass patch to the full
+// rebuild on random graphs and random normalized deltas, each valid or
+// broken in one way: a removal of an absent edge, a re-add of a kept
+// edge, a re-add of an edge the delta removes, an unnormalized list, or
+// an endpoint outside the ID space. At one and at four workers, into
+// fresh arrays and into a released spare's, ApplyDelta must accept
+// exactly what ApplyDeltaRebuild accepts; an accepted patch must equal
+// the rebuild byte for byte, pass CheckInvariants, count as dirty exactly
+// the rows an edit touches, and write into the spare when given one.
+// Graphs of 1,024 IDs or more split the row pass across the four workers.
+func FuzzApplyDeltaMatchesRebuild(f *testing.F) {
+	for kind := range uint8(deltaKinds) {
+		f.Add(int64(kind), uint16(200), uint16(800), uint8(50), uint16(40), kind)
+		f.Add(int64(kind)+100, uint16(1500), uint16(6000), uint8(20), uint16(300), kind)
+	}
+	f.Add(int64(7), uint16(0), uint16(0), uint8(0), uint16(0), uint8(deltaValid))      // two users, no edges
+	f.Add(int64(8), uint16(30), uint16(400), uint8(255), uint16(0), uint8(deltaValid)) // every edge removed
+	f.Add(int64(9), uint16(1100), uint16(0), uint8(0), uint16(500), uint8(deltaValid)) // adds only
+	f.Fuzz(func(t *testing.T, seed int64, users, edges uint16, remove uint8, nAdds uint16, kind uint8) {
+		n := 2 + int(users)%3000
+		cur := randomGraph(t, n, int(edges)%(4*n), seed).Freeze()
+		rng := rand.New(rand.NewSource(seed))
+		adds, removes := fuzzDelta(rng, cur, float64(remove)/255, int(nAdds)%(n+1), kind%deltaKinds)
+		want, wantErr := ApplyDeltaRebuild(cur, adds, removes, 1)
+		var image []byte
+		if wantErr == nil {
+			image = binaryImage(t, want)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, withSpare := range []bool{false, true} {
+				var s PatchScratch
+				var spareAdj *UserID
+				if withSpare {
+					spare := releasedSpare(cur, 2*len(adds))
+					s.spare = []*Frozen{spare}
+					spareAdj = unsafe.SliceData(spare.adj)
+				}
+				next, st, err := ApplyDelta(cur, adds, removes, workers, &s)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("workers=%d spare=%v kind=%d: ApplyDelta error %v, rebuild error %v", workers, withSpare, kind%deltaKinds, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if err := next.CheckInvariants(); err != nil {
+					t.Fatalf("workers=%d spare=%v: %v", workers, withSpare, err)
+				}
+				if !bytes.Equal(binaryImage(t, next), image) {
+					t.Fatalf("workers=%d spare=%v: patch diverges from the rebuild", workers, withSpare)
+				}
+				if want := editedRows(adds, removes); st.DirtyRows != want {
+					t.Fatalf("workers=%d spare=%v: %d dirty rows, %d rows hold an edit", workers, withSpare, st.DirtyRows, want)
+				}
+				if withSpare && unsafe.SliceData(next.adj) != spareAdj {
+					t.Fatalf("workers=%d: patch did not write into the released spare", workers)
+				}
+			}
+		}
+	})
+}
+
+// fuzzDelta draws a normalized delta against f — each edge removed with
+// probability pRemove, up to nAdds new edges between present users — and
+// breaks it as kind says, when f has what that needs.
+func fuzzDelta(rng *rand.Rand, f *Frozen, pRemove float64, nAdds int, kind uint8) (adds, removes []Edge) {
+	n := f.NumIDs()
+	var kept []Edge
+	for u := 0; u < n; u++ {
+		for _, v := range f.row(UserID(u)) {
+			if v <= UserID(u) {
+				continue
+			}
+			if rng.Float64() < pRemove {
+				removes = append(removes, Edge{UserID(u), v})
+			} else {
+				kept = append(kept, Edge{UserID(u), v})
+			}
+		}
+	}
+	absent := func() (Edge, bool) {
+		for try := 0; try < 64; try++ {
+			e := normEdge(UserID(rng.Intn(n)), UserID(rng.Intn(n)))
+			if e.A != e.B && !f.AreFriends(e.A, e.B) {
+				return e, true
+			}
+		}
+		return Edge{}, false
+	}
+	for i := 0; i < nAdds; i++ {
+		if e, ok := absent(); ok {
+			adds = append(adds, e)
+		}
+	}
+	adds = NormalizeEdges(adds)
+	insert := func(list []Edge, e Edge) []Edge {
+		i, found := slices.BinarySearchFunc(list, e, compareEdges)
+		if found {
+			return list
+		}
+		return slices.Insert(list, i, e)
+	}
+	switch kind {
+	case deltaAbsentRemoval:
+		if e, ok := absent(); ok {
+			removes = insert(removes, e)
+		}
+	case deltaReAddKept:
+		if len(kept) > 0 {
+			adds = insert(adds, kept[rng.Intn(len(kept))])
+		}
+	case deltaReAddRemoved:
+		if len(removes) > 0 {
+			adds = insert(adds, removes[rng.Intn(len(removes))])
+		}
+	case deltaUnnormalized:
+		list := &adds
+		if len(adds) == 0 || (len(removes) > 0 && rng.Intn(2) == 0) {
+			list = &removes
+		}
+		if l := *list; len(l) > 0 {
+			i := rng.Intn(len(l))
+			switch {
+			case rng.Intn(3) == 0: // reversed endpoints
+				l[i].A, l[i].B = l[i].B, l[i].A
+			case rng.Intn(2) == 0: // a duplicate
+				*list = slices.Insert(l, i, l[i])
+			case i > 0: // out of order
+				l[i-1], l[i] = l[i], l[i-1]
+			default:
+				*list = append(l, l[0])
+			}
+		}
+	case deltaOutOfRange:
+		e := Edge{UserID(rng.Intn(n)), UserID(n + rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			e = Edge{UserID(-1 - rng.Intn(3)), UserID(rng.Intn(n))}
+		}
+		if rng.Intn(2) == 0 {
+			adds = insert(adds, e)
+		} else {
+			removes = insert(removes, e)
+		}
+	}
+	return adds, removes
+}
+
+func normEdge(a, b UserID) Edge {
+	if a > b {
+		a, b = b, a
+	}
+	return Edge{a, b}
+}
+
+// releasedSpare returns a snapshot a patch of f may write into: retained,
+// every hold released, with arrays large enough for f grown by grow
+// entries and filled with sentinels, so an entry the patch does not write
+// shows in the comparison with the rebuild.
+func releasedSpare(f *Frozen, grow int) *Frozen {
+	c := &Frozen{
+		offsets: make([]int64, len(f.offsets)),
+		adj:     make([]UserID, len(f.adj)+grow),
+		present: f.present,
+	}
+	for i := range c.offsets {
+		c.offsets[i] = -1 << 40
+	}
+	for i := range c.adj {
+		c.adj[i] = -7
+	}
+	c.Retain()
+	c.Release()
+	return c
+}
+
+// editedRows counts the rows an edge of adds or removes touches.
+func editedRows(adds, removes []Edge) int {
+	rows := map[UserID]bool{}
+	for _, list := range [][]Edge{adds, removes} {
+		for _, e := range list {
+			rows[e.A], rows[e.B] = true, true
+		}
+	}
+	return len(rows)
 }
