@@ -1,7 +1,6 @@
 package socialgraph
 
 import (
-	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -152,11 +151,7 @@ func TestBuilderRejectsMalformedShards(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	g, _ := randomEdgeGraph(t, 700, 4000, 21)
 	f := g.Freeze()
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFrozen(buf.Bytes())
+	got, err := DecodeFrozen(f.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +165,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsCorruptInput(t *testing.T) {
 	g, _ := randomEdgeGraph(t, 100, 400, 5)
-	f := g.Freeze()
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := g.Freeze().AppendBinary(nil)
 
 	// Truncations at every prefix length must error, never panic.
 	for cut := 0; cut < len(valid); cut += 17 {

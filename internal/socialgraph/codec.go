@@ -1,11 +1,11 @@
 package socialgraph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ErrCodec is wrapped by every decode error: malformed input is reported as
@@ -16,62 +16,66 @@ var ErrCodec = errors.New("socialgraph: malformed frozen encoding")
 // fits a UserID.
 const maxCodecIDs = 1 << 31
 
-// WriteBinary encodes the snapshot: ID-space size, the present bitmap, user
-// and edge counts, per-ID degrees, then each row delta-encoded (rows are
-// strictly ascending, so every entry after the first is a positive delta).
+// AppendBinary appends the snapshot's encoding to b and returns the
+// extended buffer: ID-space size, the present bitmap, user and edge counts,
+// per-ID degrees, then each row delta-encoded (rows are strictly
+// ascending, so every entry after the first is a positive delta).
 // Decoding is a single linear pass — no sorting, no hashing — which is what
 // makes binary world reload O(read).
-func (f *Frozen) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
+//
+// The buffer grows once, by two bytes per degree and one and a half per row
+// entry, more than generated worlds' rows take (1.14 bytes an entry in the
+// tiny world, 1.36 in a metro world of 80 schools). Each row makes sure of
+// room for its widest encoding, which grows the buffer again only in a
+// graph whose rows take more, and writes its deltas by index. One- and
+// two-byte deltas, 99.1% of a metro world's, are written without a branch
+// on which of the two it is, as DecodeFrozen reads them: the first byte
+// continues exactly when the delta has bits above its low seven, and the
+// second is written either way, to be overwritten by the next entry when
+// it is not used.
+func (f *Frozen) AppendBinary(b []byte) []byte {
 	n := len(f.present)
-	if err := putUvarint(uint64(n)); err != nil {
-		return err
-	}
-	bitmap := make([]byte, (n+7)/8)
-	for u, p := range f.present {
-		if p {
-			bitmap[u/8] |= 1 << (u % 8)
+	b = slices.Grow(b, 3*binary.MaxVarintLen64+(n+7)/8+2*n+len(f.adj)*3/2)
+	b = binary.AppendUvarint(b, uint64(n))
+	for u := 0; u < n; u += 8 {
+		var c byte
+		for k, p := range f.present[u:min(u+8, n)] {
+			if p {
+				c |= 1 << k
+			}
 		}
+		b = append(b, c)
 	}
-	if _, err := bw.Write(bitmap); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(f.users)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(f.edges)); err != nil {
-		return err
-	}
+	b = binary.AppendUvarint(b, uint64(f.users))
+	b = binary.AppendUvarint(b, uint64(f.edges))
 	for u := 0; u < n; u++ {
-		if err := putUvarint(uint64(f.offsets[u+1] - f.offsets[u])); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(f.offsets[u+1]-f.offsets[u]))
 	}
 	for u := 0; u < n; u++ {
 		row := f.adj[f.offsets[u]:f.offsets[u+1]]
+		b = slices.Grow(b, binary.MaxVarintLen32*len(row))
+		out, i := b[:cap(b)], len(b)
 		prev := UserID(0)
-		for i, v := range row {
-			delta := uint64(v - prev)
-			if i == 0 {
-				delta = uint64(v)
-			}
-			if err := putUvarint(delta); err != nil {
-				return err
-			}
+		for _, v := range row {
+			d := uint64(v - prev) // the first entry is absolute
 			prev = v
+			if d >= 1<<14 {
+				i += binary.PutUvarint(out[i:], d)
+				continue
+			}
+			hi := d >> 7
+			two := (hi + 0x7f) >> 7 // 1 when hi != 0, since hi < 0x80
+			out[i] = byte(d&0x7f | two<<7)
+			out[i+1] = byte(hi)
+			i += 1 + int(two)
 		}
+		b = out[:i]
 	}
-	return bw.Flush()
+	return b
 }
 
 // DecodeFrozen decodes the complete encoding of a snapshot written by
-// WriteBinary and proves it: every snapshot it returns passes
+// AppendBinary and proves it: every snapshot it returns passes
 // CheckInvariants, so a reader need not walk the rows again. Bytes after
 // the last row are an error. Every length prefix is untrusted. Each claimed
 // count is checked against the bytes left before the slice it sizes is

@@ -178,20 +178,11 @@ func TestApplyDeltaChainByteIdentical(t *testing.T) {
 			}
 			frozen := g.Freeze()
 
-			var bNext, bFull, bFrozen bytes.Buffer
-			if err := next.WriteBinary(&bNext); err != nil {
-				t.Fatal(err)
-			}
-			if err := full.WriteBinary(&bFull); err != nil {
-				t.Fatal(err)
-			}
-			if err := frozen.WriteBinary(&bFrozen); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bNext.Bytes(), bFull.Bytes()) {
+			bNext := next.AppendBinary(nil)
+			if !bytes.Equal(bNext, full.AppendBinary(nil)) {
 				t.Fatalf("workers=%d step=%d: incremental patch binary diverges from full rebuild", workers, step)
 			}
-			if !bytes.Equal(bNext.Bytes(), bFrozen.Bytes()) {
+			if !bytes.Equal(bNext, frozen.AppendBinary(nil)) {
 				t.Fatalf("workers=%d step=%d: incremental patch binary diverges from mutate-and-freeze", workers, step)
 			}
 			cur = next
@@ -218,15 +209,6 @@ func randomDelta(rng *rand.Rand, f *Frozen, pRemove float64, nAdds int) (adds, r
 		}
 	}
 	return NormalizeEdges(adds), NormalizeEdges(removes)
-}
-
-func binaryImage(t *testing.T, f *Frozen) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if err := f.WriteBinary(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -291,7 +273,7 @@ func TestApplyDeltaReuse(t *testing.T) {
 				if err := next.CheckInvariants(); err != nil {
 					t.Fatalf("workers=%d step=%d (reused %v): %v", workers, step, reuse, err)
 				}
-				if !bytes.Equal(binaryImage(t, next), binaryImage(t, want)) {
+				if !bytes.Equal(next.AppendBinary(nil), want.AppendBinary(nil)) {
 					t.Fatalf("workers=%d step=%d (reused %v): patch diverges from a FrozenBuilder rebuild", workers, step, reuse)
 				}
 				if reuse {
@@ -332,9 +314,9 @@ func TestApplyDeltaReuse(t *testing.T) {
 		f0 := randomGraph(t, 200, 800, 53).Freeze()
 		f0.Retain() // the world's hold, dropped by the first step
 		f0.Retain() // a clone's hold
-		image, adj0 := binaryImage(t, f0), unsafe.SliceData(f0.adj)
+		image, adj0 := f0.AppendBinary(nil), unsafe.SliceData(f0.adj)
 		f2 := step(step(f0))
-		if unsafe.SliceData(f2.adj) == adj0 || !bytes.Equal(binaryImage(t, f0), image) {
+		if unsafe.SliceData(f2.adj) == adj0 || !bytes.Equal(f0.AppendBinary(nil), image) {
 			t.Fatal("patch reused the arrays of a snapshot a clone still holds")
 		}
 		f0.Release()
@@ -347,7 +329,7 @@ func TestApplyDeltaReuse(t *testing.T) {
 		mustPanic(t, "AreFriends on a reused snapshot", func() { f0.AreFriends(1, 2) })
 		mustPanic(t, "MutualFriends on a reused snapshot", func() { f0.MutualFriends(1, 2) })
 		mustPanic(t, "Jaccard on a reused snapshot", func() { f0.Jaccard(1, 2) })
-		mustPanic(t, "WriteBinary of a reused snapshot", func() { f0.WriteBinary(new(bytes.Buffer)) })
+		mustPanic(t, "AppendBinary of a reused snapshot", func() { f0.AppendBinary(nil) })
 		mustPanic(t, "Retain of a reused snapshot", f0.Retain)
 		mustPanic(t, "Release of a reused snapshot", f0.Release)
 	})
@@ -362,7 +344,7 @@ func TestApplyDeltaReuse(t *testing.T) {
 		var images [][]byte
 		for step := 0; step < 4; step++ {
 			chain = append(chain, cur)
-			images = append(images, binaryImage(t, cur))
+			images = append(images, cur.AppendBinary(nil))
 			adds, removes := randomDelta(rng, cur, 0.1, 10)
 			next, _, err := ApplyDelta(cur, adds, removes, 1, &s)
 			if err != nil {
@@ -376,7 +358,7 @@ func TestApplyDeltaReuse(t *testing.T) {
 			cur = next
 		}
 		for i, f := range chain {
-			if !bytes.Equal(binaryImage(t, f), images[i]) {
+			if !bytes.Equal(f.AppendBinary(nil), images[i]) {
 				t.Fatalf("snapshot %d of an unretained chain changed", i)
 			}
 		}
@@ -501,7 +483,7 @@ func FuzzApplyDeltaMatchesRebuild(f *testing.F) {
 		want, wantErr := ApplyDeltaRebuild(cur, adds, removes, 1)
 		var image []byte
 		if wantErr == nil {
-			image = binaryImage(t, want)
+			image = want.AppendBinary(nil)
 		}
 		for _, workers := range []int{1, 4} {
 			for _, withSpare := range []bool{false, true} {
@@ -522,7 +504,7 @@ func FuzzApplyDeltaMatchesRebuild(f *testing.F) {
 				if err := next.CheckInvariants(); err != nil {
 					t.Fatalf("workers=%d spare=%v: %v", workers, withSpare, err)
 				}
-				if !bytes.Equal(binaryImage(t, next), image) {
+				if !bytes.Equal(next.AppendBinary(nil), image) {
 					t.Fatalf("workers=%d spare=%v: patch diverges from the rebuild", workers, withSpare)
 				}
 				if want := editedRows(adds, removes); st.DirtyRows != want {

@@ -12,16 +12,12 @@ import (
 // DecodeFrozen must accept exactly what decodeFrozenReference followed by
 // checkInvariantsReference accepts, return the same graph, and type every
 // error ErrCodec. Mutated rows are often asymmetric, so the fuzzer reaches
-// the decoder's symmetry pass with graphs that must fail it. Besides a
-// valid encoding and its truncations and flips, the seeds are
-// varintWidthCases.
+// the decoder's symmetry pass with graphs that must fail it. Every graph it
+// accepts is encoded again: AppendBinary's bytes must equal appendFrozen's
+// and decode to the same graph. Besides a valid encoding and its
+// truncations and flips, the seeds are varintWidthCases.
 func FuzzDecodeFrozen(f *testing.F) {
-	small := randomGraph(f, 40, 120, 3).Freeze()
-	var buf bytes.Buffer
-	if err := small.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := randomGraph(f, 40, 120, 3).Freeze().AppendBinary(nil)
 
 	f.Add(valid)
 	f.Add([]byte{})
@@ -66,19 +62,20 @@ func FuzzDecodeFrozen(f *testing.F) {
 		if err := got.CheckInvariants(); err != nil {
 			t.Fatalf("decoded graph fails CheckInvariants: %v", err)
 		}
-		var re bytes.Buffer
-		if err := got.WriteBinary(&re); err != nil {
-			t.Fatal(err)
+		re := got.AppendBinary(nil)
+		if !bytes.Equal(re, appendFrozen(nil, got, binary.AppendUvarint)) {
+			t.Fatal("AppendBinary differs from appendFrozen")
 		}
-		again, err := DecodeFrozen(re.Bytes())
+		again, err := DecodeFrozen(re)
 		if err != nil || !again.Equal(got) {
 			t.Fatalf("valid graph does not survive re-encoding: %v", err)
 		}
 	})
 }
 
-// appendFrozen appends WriteBinary's encoding of f with each row delta
-// written by putDelta; binary.AppendUvarint reproduces WriteBinary's bytes.
+// appendFrozen is the plain CSR encoder AppendBinary is held to: it
+// appends f's encoding with each row delta written by putDelta, and with
+// binary.AppendUvarint it gives AppendBinary's bytes.
 func appendFrozen(dst []byte, f *Frozen, putDelta func([]byte, uint64) []byte) []byte {
 	n := len(f.present)
 	dst = binary.AppendUvarint(dst, uint64(n))
@@ -121,13 +118,11 @@ type decodeCase struct {
 	want *Frozen // nil: decoding must fail
 }
 
-// varintWidthCases are encodings with row varints at the edges of
-// DecodeFrozen's inline one- and two-byte paths: rows starting at 127, 128,
-// 16383 and 16384, every delta padded to ten bytes, which decodes to the
-// same graph, and to eleven, which overflows.
-func varintWidthCases(t testing.TB) []decodeCase {
+// wideGraph has rows starting at 127, 128, 16383 and 16384: row varints at
+// the edges of the one- and two-byte widths AppendBinary writes and
+// DecodeFrozen reads inline.
+func wideGraph(t testing.TB) *Frozen {
 	t.Helper()
-	small := randomGraph(t, 40, 120, 3).Freeze()
 	b := NewFrozenBuilder(16385)
 	for u := UserID(0); u < 16385; u++ {
 		if err := b.AddUser(u); err != nil {
@@ -141,6 +136,17 @@ func varintWidthCases(t testing.TB) []decodeCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wide
+}
+
+// varintWidthCases are encodings with row varints at the edges of
+// DecodeFrozen's inline one- and two-byte paths: wideGraph's rows, every
+// delta padded to ten bytes, which decodes to the same graph, and to
+// eleven, which overflows.
+func varintWidthCases(t testing.TB) []decodeCase {
+	t.Helper()
+	small := randomGraph(t, 40, 120, 3).Freeze()
+	wide := wideGraph(t)
 	padded := func(size int) func([]byte, uint64) []byte {
 		return func(dst []byte, v uint64) []byte { return paddedUvarint(dst, v, size) }
 	}
@@ -151,17 +157,14 @@ func varintWidthCases(t testing.TB) []decodeCase {
 	}
 }
 
-// TestDecodeFrozenVarintWidths decodes FuzzDecodeFrozen's varint seeds.
-// appendFrozen must reproduce WriteBinary's bytes for them to mean
-// anything.
+// TestDecodeFrozenVarintWidths decodes FuzzDecodeFrozen's varint seeds,
+// and holds AppendBinary to appendFrozen on a random graph and on
+// wideGraph, whose rows sit at the edges of its branch-free widths.
 func TestDecodeFrozenVarintWidths(t *testing.T) {
-	f := randomGraph(t, 40, 120, 3).Freeze()
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(appendFrozen(nil, f, binary.AppendUvarint), buf.Bytes()) {
-		t.Fatal("appendFrozen differs from WriteBinary")
+	for _, f := range []*Frozen{randomGraph(t, 40, 120, 3).Freeze(), wideGraph(t)} {
+		if !bytes.Equal(f.AppendBinary(nil), appendFrozen(nil, f, binary.AppendUvarint)) {
+			t.Fatal("AppendBinary differs from appendFrozen")
+		}
 	}
 	for _, tc := range varintWidthCases(t) {
 		got, err := DecodeFrozen(tc.data)

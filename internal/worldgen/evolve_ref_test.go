@@ -311,18 +311,6 @@ func editedRows(added, removed []socialgraph.Edge) int {
 	return len(rows)
 }
 
-// twin returns an independent copy of w: its own people and schools,
-// sharing (and holding) w's immutable snapshot.
-func twin(w *World) *World {
-	c := w.Clone()
-	c.Schools = make([]*School, len(w.Schools))
-	for i, s := range w.Schools {
-		cp := *s
-		c.Schools[i] = &cp
-	}
-	return c
-}
-
 // Evolver modes FuzzEvolveMatchesReference draws.
 const (
 	evolveFresh    = iota // a throwaway Evolver per year
@@ -357,7 +345,7 @@ func FuzzEvolveMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := twin(got)
+		want := got.Clone()
 		ecfg := DefaultEvolveConfig()
 		ev := NewEvolver(ecfg, nWorkers)
 		edits := rand.New(rand.NewSource(int64(seed)))

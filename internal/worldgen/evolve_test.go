@@ -268,3 +268,34 @@ func TestEvolveStaticWorldUntouched(t *testing.T) {
 		t.Fatal("generation is not reproducible")
 	}
 }
+
+// TestEvolvedCloneLeavesOriginal: evolving a clone advances the clone's
+// classes, people and graph, never the original's, so the original keeps
+// its fingerprint and its invariants.
+func TestEvolvedCloneLeavesOriginal(t *testing.T) {
+	w, err := GenerateParallel(TinyConfig(), 42, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := w.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := w.Schools[0].GradYears
+	c := w.Clone()
+	if _, err := Evolve(c, DefaultEvolveConfig(), 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if c.Schools[0].GradYears == classes {
+		t.Fatalf("the evolved clone kept classes %v", classes)
+	}
+	if got := w.Schools[0].GradYears; got != classes {
+		t.Fatalf("evolving a clone moved the original's classes from %v to %v", classes, got)
+	}
+	if after, err := w.Fingerprint(); err != nil || after != before {
+		t.Fatalf("evolving a clone changed the original's fingerprint: %s (%v), want %s", after, err, before)
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatalf("the original fails its invariants after a clone evolved: %v", err)
+	}
+}

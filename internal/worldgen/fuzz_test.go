@@ -94,13 +94,19 @@ func FuzzReadJSON(f *testing.F) {
 	})
 }
 
-// checkSurvivesBinary requires w's binary snapshot to decode to a world of
-// w's fingerprint.
+// checkSurvivesBinary requires w's binary snapshot to equal the reference
+// writer's bytes and to decode to a world of w's fingerprint.
 func checkSurvivesBinary(t *testing.T, w *World) {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf, ref bytes.Buffer
 	if err := w.WriteBinary(&buf); err != nil {
 		t.Fatalf("accepted world does not encode: %v", err)
+	}
+	if err := writeBinaryRef(w, &ref); err != nil {
+		t.Fatalf("accepted world does not encode with the reference writer: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+		t.Fatal("WriteBinary's bytes differ from the reference writer's")
 	}
 	back, err := decodeBinary(buf.Bytes())
 	if err != nil {
@@ -411,7 +417,7 @@ func rewriteSection(t *testing.T, snap []byte, id byte, edit func([]byte) []byte
 }
 
 // TestMinPersonBytes holds minPersonBytes to the shortest record
-// writePeople emits, a person whose strings are all back-references and
+// appendPeople emits, a person whose strings are all back-references and
 // whose numbers all fit one byte: a larger bound would reject valid
 // sections, a smaller one would let a lying count size a larger slab.
 func TestMinPersonBytes(t *testing.T) {
@@ -419,18 +425,18 @@ func TestMinPersonBytes(t *testing.T) {
 	for i := range people {
 		people[i] = &Person{ID: socialgraph.UserID(i), SchoolID: -1}
 	}
-	var buf bytes.Buffer
-	if err := writePeople(&buf, people); err != nil {
+	section, err := appendPeople(nil, people)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The first record carries the empty string's literal, one byte more.
-	if got, want := buf.Len(), 1+len(people)*minPersonBytes; got != want {
+	if got, want := len(section), 1+len(people)*minPersonBytes; got != want {
 		t.Fatalf("%d minimal people take %d bytes, want %d", len(people), got, want)
 	}
-	if _, err := decodePeople(buf.Bytes(), len(people)); err != nil {
+	if _, err := decodePeople(section, len(people)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodePeople(buf.Bytes(), len(people)+1); !errors.Is(err, ErrSnapshot) {
+	if _, err := decodePeople(section, len(people)+1); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("one person too many: got %v, want ErrSnapshot", err)
 	}
 }
@@ -441,12 +447,12 @@ func TestMinPersonBytes(t *testing.T) {
 // people, and type every error ErrSnapshot. The seeds are three people's
 // section and peopleVarintCases.
 func FuzzPeopleSection(f *testing.F) {
-	var buf bytes.Buffer
-	if err := writePeople(&buf, fuzzWorld(f).People); err != nil {
+	section, err := appendPeople(nil, fuzzWorld(f).People)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes(), uint32(3))
-	f.Add(buf.Bytes(), uint32(4))
+	f.Add(section, uint32(3))
+	f.Add(section, uint32(4))
 	for _, tc := range peopleVarintCases(f) {
 		f.Add(tc.data, uint32(1))
 	}
@@ -504,11 +510,11 @@ func peopleVarintCases(t testing.TB) []peopleCase {
 	adult := sim.Date{Year: 1970, Month: 1, Day: 1}
 	p := &Person{Role: RoleParent, SchoolID: -1, TrueBirth: adult, RegisteredBirth: adult, PhotosShared: 16384}
 	section := func() []byte {
-		var buf bytes.Buffer
-		if err := writePeople(&buf, []*Person{p}); err != nil {
+		b, err := appendPeople(nil, []*Person{p})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Clone(buf.Bytes())
+		return b
 	}
 	childless := section() // ends with the child count, 0
 	padded := func(size int) []byte {

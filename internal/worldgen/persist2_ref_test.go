@@ -1,9 +1,11 @@
 package worldgen
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -197,4 +199,163 @@ func refReadPerson(r *bytes.Reader, table *refStringTable, i int) (*Person, erro
 		p.ChildIDs = append(p.ChildIDs, socialgraph.UserID(c))
 	}
 	return p, nil
+}
+
+// writeBinaryRef is the plain snapshot writer WriteBinary is held to: it
+// stages one section at a time in a bytes.Buffer, writes every varint
+// through an io.Writer, and streams the sections out through a
+// bufio.Writer. Its graph section is Frozen.AppendBinary's bytes, which
+// socialgraph's tests hold to their own plain encoder, appendFrozen.
+func writeBinaryRef(w *World, out io.Writer) error {
+	bw := bufio.NewWriterSize(out, 1<<16)
+	if _, err := bw.Write(snapshotMagic[:]); err != nil {
+		return err
+	}
+	if err := refWriteUvarint(bw, binaryVersion); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+
+	// meta
+	refWriteUvarint(&buf, w.Seed)
+	refWriteDate(&buf, w.Now)
+	refWriteUvarint(&buf, uint64(len(w.Schools)))
+	refWriteUvarint(&buf, uint64(len(w.People)))
+	if err := refWriteSection(bw, secMeta, &buf); err != nil {
+		return err
+	}
+
+	// schools
+	for _, s := range w.Schools {
+		refWriteUvarint(&buf, uint64(s.ID))
+		refWriteString(&buf, s.Name)
+		refWriteString(&buf, s.City)
+		for _, y := range s.GradYears {
+			refWriteUvarint(&buf, uint64(y))
+		}
+	}
+	if err := refWriteSection(bw, secSchools, &buf); err != nil {
+		return err
+	}
+
+	// people
+	if err := writePeopleRef(&buf, w.People); err != nil {
+		return err
+	}
+	if err := refWriteSection(bw, secPeople, &buf); err != nil {
+		return err
+	}
+
+	// graph
+	buf.Write(w.Frozen().AppendBinary(nil))
+	if err := refWriteSection(bw, secGraph, &buf); err != nil {
+		return err
+	}
+
+	if err := refWriteSection(bw, secEnd, &buf); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// writePeopleRef encodes the people section as appendPeople does, one
+// field at a time into a bytes.Buffer.
+func writePeopleRef(buf *bytes.Buffer, people []*Person) error {
+	in := &refInterner{idx: make(map[string]uint64)}
+	for i, p := range people {
+		if p == nil || int(p.ID) != i {
+			return fmt.Errorf("worldgen: person at index %d not positional", i)
+		}
+		in.write(buf, p.FirstName)
+		in.write(buf, p.LastName)
+		in.write(buf, p.AliasName)
+		buf.WriteByte(byte(p.Gender))
+		buf.WriteByte(byte(p.Role))
+		refWriteDate(buf, p.TrueBirth)
+		refWriteVarint(buf, int64(p.SchoolID))
+		refWriteVarint(buf, int64(p.GradYear))
+		in.write(buf, p.CurrentCity)
+		in.write(buf, p.Hometown)
+		in.write(buf, p.StreetAddress)
+		var flags byte
+		setBit(&flags, 0, p.HasAccount)
+		setBit(&flags, 1, p.LiedAtSignup)
+		setBit(&flags, 2, p.ListsSchool)
+		setBit(&flags, 3, p.ListsGradSchool)
+		setBit(&flags, 4, p.ListsCity)
+		buf.WriteByte(flags)
+		refWriteDate(buf, p.RegisteredBirth)
+		buf.WriteByte(packPrivacyLow(p.Privacy))
+		buf.WriteByte(packPrivacyHigh(p.Privacy))
+		refWriteUvarint(buf, uint64(p.PhotosShared))
+		var fb [8]byte
+		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(p.Sociality))
+		buf.Write(fb[:])
+		refWriteUvarint(buf, uint64(len(p.ChildIDs)))
+		for _, c := range p.ChildIDs {
+			refWriteUvarint(buf, uint64(c))
+		}
+	}
+	return nil
+}
+
+func refWriteSection(bw *bufio.Writer, id byte, payload *bytes.Buffer) error {
+	if err := bw.WriteByte(id); err != nil {
+		return err
+	}
+	if err := refWriteUvarint(bw, uint64(payload.Len())); err != nil {
+		return err
+	}
+	sum := crc32.ChecksumIEEE(payload.Bytes())
+	if _, err := bw.Write(payload.Bytes()); err != nil {
+		return err
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], sum)
+	if _, err := bw.Write(crc[:]); err != nil {
+		return err
+	}
+	payload.Reset()
+	return nil
+}
+
+func refWriteUvarint(w io.Writer, v uint64) error {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], v)
+	_, err := w.Write(buf[:n])
+	return err
+}
+
+func refWriteVarint(w io.Writer, v int64) error {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutVarint(buf[:], v)
+	_, err := w.Write(buf[:n])
+	return err
+}
+
+func refWriteString(w *bytes.Buffer, s string) {
+	refWriteUvarint(w, uint64(len(s)))
+	w.WriteString(s)
+}
+
+func refWriteDate(w *bytes.Buffer, d sim.Date) {
+	refWriteVarint(w, int64(d.Year))
+	w.WriteByte(byte(d.Month))
+	w.WriteByte(byte(d.Day))
+}
+
+// refInterner is the reference writer's string table: tag 0 and a literal
+// at a string's first occurrence, then its index plus one.
+type refInterner struct {
+	idx map[string]uint64
+}
+
+func (in *refInterner) write(w *bytes.Buffer, s string) {
+	if k, ok := in.idx[s]; ok {
+		refWriteUvarint(w, k+1)
+		return
+	}
+	in.idx[s] = uint64(len(in.idx))
+	refWriteUvarint(w, 0)
+	refWriteString(w, s)
 }

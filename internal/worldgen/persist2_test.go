@@ -77,6 +77,65 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestWriteBinaryMatchesReference holds WriteBinary's bytes to
+// writeBinaryRef's on worlds from both generators, at the three scales,
+// and after evolution. A world with a person out of place fails both
+// writers with the same error, and WriteBinary writes nothing of it.
+func TestWriteBinaryMatchesReference(t *testing.T) {
+	evolved := func() (*World, error) {
+		w, err := GenerateParallel(CityConfig(1), 2013, 2)
+		if err != nil {
+			return nil, err
+		}
+		ev := NewEvolver(DefaultEvolveConfig(), 2)
+		for year := 1; year <= 3; year++ {
+			if _, err := ev.Step(w, year); err != nil {
+				return nil, err
+			}
+		}
+		return w, nil
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*World, error)
+	}{
+		{"tiny seq", func() (*World, error) { return Generate(TinyConfig(), 42) }},
+		{"tiny par", func() (*World, error) { return GenerateParallel(TinyConfig(), 42, 2) }},
+		{"hs1", func() (*World, error) { return Generate(HS1Config(), 2013) }},
+		{"city1", func() (*World, error) { return GenerateParallel(CityConfig(1), 2013, 2) }},
+		{"city1 evolved 3 years", evolved},
+	} {
+		w, err := tc.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got, want bytes.Buffer
+		if err := w.WriteBinary(&got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := writeBinaryRef(w, &want); err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: WriteBinary's %d bytes differ from the reference writer's %d", tc.name, got.Len(), want.Len())
+		}
+	}
+
+	w, err := Generate(TinyConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.People[1], w.People[2] = w.People[2], w.People[1]
+	var got bytes.Buffer
+	err = w.WriteBinary(&got)
+	if refErr := writeBinaryRef(w, io.Discard); err == nil || refErr == nil || err.Error() != refErr.Error() {
+		t.Fatalf("a person out of place: WriteBinary %v, reference %v", err, refErr)
+	}
+	if got.Len() != 0 {
+		t.Fatalf("a world that fails to encode wrote %d bytes", got.Len())
+	}
+}
+
 // TestFrozenFromReloadEqualsDirect: the CSR snapshot served from a reloaded
 // world must equal the snapshot of the freshly generated one — for the JSON
 // path this means the edge-list rebuild converges to the same CSR bytes the
@@ -231,6 +290,30 @@ func TestWriteFileAtomic(t *testing.T) {
 		if e.Name() != "world.bin" && e.Name() != "not-a-dir" {
 			t.Fatalf("stray file %q left in output directory", e.Name())
 		}
+	}
+}
+
+// TestSnapshotWriteAllocs bounds WriteBinary's allocations on the world
+// TestSnapshotDecodeAllocs decodes by a fixed overhead, which must not
+// grow with the people, strings or edges: the people and graph buffers,
+// the small sections and the frame as they grow, the graph goroutine and
+// its channel, and the interner's map, sized once from the people count.
+// Go 1.24 builds that map from tables of at most 1024 slots, 34
+// allocations at this world's size.
+func TestSnapshotWriteAllocs(t *testing.T) {
+	const writeOverhead = 100 // 45 measured with Go 1.24
+	w, err := GenerateParallel(CityConfig(1), 2013, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if err := w.WriteBinary(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d people, %d edges: %v allocs, bound %d", len(w.People), w.Frozen().NumEdges(), got, writeOverhead)
+	if got > writeOverhead {
+		t.Fatalf("WriteBinary made %v allocations, bound %d", got, writeOverhead)
 	}
 }
 

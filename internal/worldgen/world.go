@@ -260,14 +260,20 @@ func byteDate(d sim.Date) bool {
 	return uint(d.Month) <= math.MaxUint8 && uint(d.Day) <= math.MaxUint8
 }
 
-// Clone returns a copy of the world with independently mutable Person
-// records but the same immutable friendship graph snapshot, which the
-// clone holds as the original does. The §7 without-COPPA counterfactual
-// re-registers every account truthfully on such a clone without touching
-// the original.
+// Clone returns a copy of the world with independently mutable Person and
+// School records but the same immutable friendship graph snapshot, which
+// the clone holds as the original does. The §7 without-COPPA
+// counterfactual re-registers every account truthfully on such a clone
+// without touching the original, and evolving a clone advances its own
+// schools' classes, not the original's.
 func (w *World) Clone() *World {
-	c := &World{Seed: w.Seed, Now: w.Now, Schools: w.Schools}
+	c := &World{Seed: w.Seed, Now: w.Now}
 	c.SetFrozen(w.Frozen())
+	c.Schools = make([]*School, len(w.Schools))
+	for i, s := range w.Schools {
+		cs := *s
+		c.Schools[i] = &cs
+	}
 	c.People = make([]*Person, len(w.People))
 	for i, p := range w.People {
 		cp := *p
